@@ -9,18 +9,22 @@ structural quantities that explain the module counts:
   lower bound on modules;
 * greedy coloring over the graph gives a quick upper bound to sandwich the
   exact DSATUR result of :mod:`repro.analysis.optimal`.
+
+networkx is an optional dependency (``pip install repro[graphs]``), imported
+only when a graph is built, so ``import repro`` works without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.optimal import conflict_graph
 from repro.templates.base import TemplateFamily, TemplateInstance
 from repro.trees import CompleteBinaryTree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["conflict_nx_graph", "conflict_graph_stats", "GraphStats"]
 
@@ -48,6 +52,8 @@ def conflict_nx_graph(
     families: Iterable[TemplateFamily],
 ) -> nx.Graph:
     """The union-of-cliques conflict graph of ``families`` on ``tree``."""
+    import networkx as nx
+
     instances: list[TemplateInstance] = []
     for fam in families:
         instances.extend(fam.instances(tree))
@@ -64,6 +70,8 @@ def conflict_graph_stats(
     families: Iterable[TemplateFamily],
 ) -> GraphStats:
     """Structural diagnostics of the conflict graph."""
+    import networkx as nx
+
     families = list(families)
     graph = conflict_nx_graph(tree, families)
     clique = max((fam.size for fam in families), default=1)

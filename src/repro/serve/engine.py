@@ -294,50 +294,23 @@ class ServeEngine:
         """One service cycle: round-robin issue under the interconnect limit;
         requests whose last item issues complete ``latency`` cycles later."""
         system = self.system
-        rec = system.recorder
-        recording = rec.enabled
-        remaining = self._remaining
-        limit = system.interconnect.issue_limit(system.num_modules)
-        if recording:
-            for mod in system.modules:
-                if mod.queue:
-                    rec.event(
-                        "queue_depth",
-                        cycle=cycle,
-                        module=mod.module_id,
-                        depth=len(mod.queue),
-                    )
-        issued = 0
         pending = sum(len(mod.queue) for mod in system.modules)
-        for off in range(system.num_modules):
-            if issued >= limit:
-                if recording and pending:
-                    rec.event(
-                        "stall", cycle=cycle, where="interconnect", pending=pending
-                    )
-                break
-            mod = system.modules[(cycle + off) % system.num_modules]
-            while issued < limit:
-                served = mod.step(cycle)
-                if served is None:
-                    break
-                issued += 1
-                if system.maybe_drop(mod, served, cycle):
-                    continue  # lost in flight; re-queued for another go
-                pending -= 1
-                request_id = served[0][0]
-                completion = cycle + mod.latency
-                if recording:
-                    rec.event(
-                        "complete",
-                        cycle=completion,
-                        module=mod.module_id,
-                        request=request_id,
-                    )
-                remaining[request_id] -= 1
-                if remaining[request_id] == 0:
-                    del remaining[request_id]
-                    heapq.heappush(self._completions, (completion, request_id))
+        system.issue_cycle(cycle, 0, pending, self._item_complete)
+
+    def _item_complete(self, mod, served, completion: int) -> None:
+        """Issue-kernel callback: count down the item's request and queue the
+        request for retirement once its last item is in flight."""
+        request_id = served[0][0]
+        rec = self.system.recorder
+        if rec.enabled:
+            rec.event(
+                "complete", cycle=completion, module=mod.module_id, request=request_id
+            )
+        remaining = self._remaining
+        remaining[request_id] -= 1
+        if remaining[request_id] == 0:
+            del remaining[request_id]
+            heapq.heappush(self._completions, (completion, request_id))
 
     def _retire(self, cycle: int) -> int:
         """Complete requests whose last item finished by ``cycle``; returns

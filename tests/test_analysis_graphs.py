@@ -1,6 +1,6 @@
 """Unit tests for the networkx conflict-graph utilities."""
 
-import networkx as nx
+import pytest
 
 from repro.analysis import (
     chromatic_number,
@@ -10,6 +10,8 @@ from repro.analysis import (
 )
 from repro.templates import PTemplate, STemplate
 from repro.trees import CompleteBinaryTree
+
+nx = pytest.importorskip("networkx")
 
 
 class TestNxGraph:

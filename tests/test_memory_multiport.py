@@ -29,12 +29,6 @@ class TestModulePorts:
         with pytest.raises(ValueError):
             MemoryModule(module_id=0, ports=0)
 
-    def test_busy_until_shim(self):
-        mod = MemoryModule(module_id=0, ports=3)
-        mod.busy_until = 5
-        assert mod.busy_until == 5
-        assert mod.step(4) is None or not mod.queue  # all ports blocked
-
 
 class TestSystemPorts:
     def test_dual_ported_banks_halve_conflict_rounds(self, tree12):
