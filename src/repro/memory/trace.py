@@ -89,11 +89,17 @@ class AccessTrace:
                 raise ValueError(f"{path} is not a saved trace: missing {exc}") from exc
         if len(labels) != sizes.size or sizes.sum() != flat.size:
             raise ValueError(f"{path} is corrupt: inconsistent sizes")
+        if flat.ndim != 1 or (sizes < 1).any():
+            raise ValueError("each access must be a non-empty 1-D node array")
+        # slice the flat array directly: the checks above are the ones add()
+        # would repeat per access, and a replay's restart path pays for them
+        flat = flat.astype(np.int64, copy=False)
+        ends = np.cumsum(sizes).tolist()
         trace = cls()
-        offset = 0
-        for label, size in zip(labels, sizes):
-            trace.add(flat[offset : offset + int(size)], label=label)
-            offset += int(size)
+        trace._accesses = [
+            (label, flat[end - size : end])
+            for label, size, end in zip(labels, sizes.tolist(), ends)
+        ]
         return trace
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -52,3 +52,14 @@ class TestRoundTripFidelity:
     def test_empty_access_still_rejected(self):
         with pytest.raises(ValueError):
             AccessTrace().add(np.array([]))
+
+    def test_empty_access_rejected_on_load(self, tmp_path):
+        path = tmp_path / "hollow.npz"
+        np.savez_compressed(
+            path,
+            nodes=np.array([1, 2], dtype=np.int64),
+            sizes=np.array([2, 0], dtype=np.int64),
+            labels=np.frombuffer(b'["a", "b"]', dtype=np.uint8),
+        )
+        with pytest.raises(ValueError, match="non-empty"):
+            AccessTrace.load(path)
