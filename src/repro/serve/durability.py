@@ -49,6 +49,7 @@ from __future__ import annotations
 import heapq
 import json
 import time
+import weakref
 import zlib
 from collections import deque
 from dataclasses import dataclass, fields as dataclass_fields
@@ -717,12 +718,17 @@ class DurableServer:
         self.run_seconds = 0.0
         self.checkpoints_written = 0
         self.replayed_records = 0
+        # the driver reaches back through a weak proxy: a strong reference
+        # would close a server -> driver -> callback -> server cycle, and a
+        # dropped server (with its whole journal) would then live until the
+        # next full garbage collection
+        server = weakref.proxy(self)
         self.driver = Driver(
             engine,
             checkpoint_every=checkpoint_every,
-            checkpoint=lambda target: self._write_checkpoint(),
+            checkpoint=lambda target: server._write_checkpoint(),
             crash_at=crash_plan.at_cycle if crash_plan is not None else None,
-            crash=(lambda target: self._crash(self.crash_plan))
+            crash=(lambda target: server._crash(server.crash_plan))
             if crash_plan is not None
             else None,
         )
@@ -856,11 +862,12 @@ class DurableServer:
         """
         journal = self.journal
         state = {"pending": journal.replaying}
+        server = weakref.proxy(self)  # the driver holds the hook; see __init__
 
         def watch(engine) -> None:
             if state["pending"] and not journal.replaying:
                 state["pending"] = False
-                self.replayed_records = journal.replay_total
+                server.replayed_records = journal.replay_total
                 rec = engine.system.recorder
                 if rec.enabled:
                     rec.event(

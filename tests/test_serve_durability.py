@@ -1,7 +1,9 @@
 """Crash-consistent serving: snapshots, the write-ahead journal, and
 deterministic recovery (plus the satellite state-capture contracts)."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -367,6 +369,23 @@ class TestCrashRecovery:
         assert server.checkpoints_written > 0
         assert server.checkpoint_seconds > 0
         assert 0.0 < server.checkpoint_overhead < 1.0
+
+
+    def test_dropped_server_is_freed_by_refcount(self, tmp_path):
+        """No reference cycle pins a finished server, its engine and its
+        journal until the next full garbage collection."""
+        factory = make_factory()
+        uninterrupted(factory, tmp_path, max_cycles=200)
+        engine, clients = factory()
+        gc.disable()
+        try:
+            server = DurableServer(engine, clients, tmp_path, checkpoint_every=100)
+            server.recover()
+            dropped = weakref.ref(server)
+            del server
+            assert dropped() is None
+        finally:
+            gc.enable()
 
 
 class TestCrashPlanValidation:
