@@ -17,51 +17,28 @@ all four and times the supervised step loop against plain failover.
 
 import pytest
 
-from repro.core import ColorMapping
-from repro.fleet import (
-    FleetCoordinator,
-    FleetSupervisor,
-    diff_fleet_reports,
-    heavy_tailed_tenants,
-)
-from repro.memory import ParallelMemorySystem
-from repro.memory.faults import FaultSchedule, per_shard_schedules
-from repro.serve import ServeEngine
+from repro import spec
+from repro.fleet import FleetSupervisor, diff_fleet_reports
 from repro.serve.durability import SimulatedCrash
-from repro.trees import CompleteBinaryTree
 
-WORKLOAD = "subtree:7=1,path:5=1,level:4=1"
-SHARDS = 4
 CYCLES = 450
-KILLS = ["1@75", "2@150", "3@225"]
-FAULT_SPEC = f"drop=0.03@0:{CYCLES},seed=3"
-
-
-def _build_engine(shard):
-    tree = CompleteBinaryTree(8)
-    mapping = ColorMapping.for_modules(tree, 7)
-    system = ParallelMemorySystem(mapping)
-    base = FaultSchedule.parse(FAULT_SPEC)
-    system.attach_faults(per_shard_schedules(base, SHARDS)[shard])
-    return ServeEngine(system, policy="greedy-pack")
-
-
-def _make_fleet(kills=()):
-    engines = [_build_engine(i) for i in range(SHARDS)]
-    coordinator = FleetCoordinator(
-        engines, router="least-loaded", kills=list(kills)
-    )
-    return coordinator, _build_engine
-
-
-def _population():
-    tree = CompleteBinaryTree(8)
-    return heavy_tailed_tenants(tree, 8, WORKLOAD, 4.0, seed=7).clients
+CONFIG = {
+    "shards": 4,
+    "router": "least-loaded",
+    "levels": 8,
+    "modules": 7,
+    "arrival_rate": 4.0,
+    "workload": "subtree:7=1,path:5=1,level:4=1",
+    "tenants": 8,
+    "seed": 7,
+    "faults": f"drop=0.03@0:{CYCLES},seed=3",
+    "kill_shard_at": ["1@75", "2@150", "3@225"],
+}
 
 
 def _supervised(state_dir, crash_at=None):
-    coordinator, factory = _make_fleet(KILLS)
-    return FleetSupervisor(
+    coordinator, population, _, factory = spec.fleet(CONFIG)
+    supervisor = FleetSupervisor(
         coordinator,
         factory=factory,
         state_dir=state_dir,
@@ -69,6 +46,12 @@ def _supervised(state_dir, crash_at=None):
         restart_after=50,
         crash_at=crash_at,
     )
+    return supervisor, population.clients
+
+
+def _failover():
+    coordinator, population, _, _ = spec.fleet(CONFIG)
+    return FleetSupervisor(coordinator), population.clients
 
 
 def _identity(report):
@@ -88,31 +71,34 @@ def test_e22_claim_holds():
 
 def test_e22_soak_heals_and_accounts_exactly_once(tmp_path):
     """Three kills, three rejoins, books balanced across every cycle."""
-    report = _supervised(tmp_path / "soak").serve(_population(), CYCLES)
+    supervisor, clients = _supervised(tmp_path / "soak")
+    report = supervisor.serve(clients, CYCLES)
     assert report.restarts >= 3
     assert sorted(report.rejoined) == [1, 2, 3]
-    assert report.health == ["alive"] * SHARDS
+    assert report.health == ["alive"] * CONFIG["shards"]
     assert _identity(report)
 
 
 def test_e22_crash_recovery_matches_control(tmp_path):
     """Whole-fleet crash after the last rejoin, recovered from the newest
     checkpoint: the recovered report equals the uninterrupted control."""
-    control = _supervised(tmp_path / "control").serve(_population(), CYCLES)
+    supervisor, clients = _supervised(tmp_path / "control")
+    control = supervisor.serve(clients, CYCLES)
+    supervisor, clients = _supervised(tmp_path / "crashed", crash_at=325)
     with pytest.raises(SimulatedCrash):
-        _supervised(tmp_path / "crashed", crash_at=325).serve(
-            _population(), CYCLES
-        )
-    recovered = _supervised(tmp_path / "crashed").recover(_population())
+        supervisor.serve(clients, CYCLES)
+    supervisor, clients = _supervised(tmp_path / "crashed")
+    recovered = supervisor.recover(clients)
     assert diff_fleet_reports(control, recovered) == []
 
 
 def test_e22_restarts_strictly_beat_failover(tmp_path):
     """Same kill schedule, restarts on vs off: healing wins goodput and
     availability outright."""
-    healed = _supervised(tmp_path / "healed").serve(_population(), CYCLES)
-    failover_coord, _ = _make_fleet(KILLS)
-    failover = FleetSupervisor(failover_coord).serve(_population(), CYCLES)
+    supervisor, clients = _supervised(tmp_path / "healed")
+    healed = supervisor.serve(clients, CYCLES)
+    supervisor, clients = _failover()
+    failover = supervisor.serve(clients, CYCLES)
     assert failover.restarts == 0
     assert healed.goodput > failover.goodput
     assert healed.availability > failover.availability
@@ -122,10 +108,9 @@ def test_e22_restarts_strictly_beat_failover(tmp_path):
 def test_bench_supervised_step_loop(benchmark, tmp_path, mode):
     def run():
         if mode == "selfheal":
-            supervisor = _supervised(tmp_path / "bench")
+            supervisor, clients = _supervised(tmp_path / "bench")
         else:
-            coordinator, _ = _make_fleet(KILLS)
-            supervisor = FleetSupervisor(coordinator)
-        return supervisor.serve(_population(), CYCLES)
+            supervisor, clients = _failover()
+        return supervisor.serve(clients, CYCLES)
 
     benchmark(run)

@@ -1187,14 +1187,8 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
     import tempfile
     from pathlib import Path
 
-    from repro.fleet import (
-        FleetCoordinator,
-        FleetSupervisor,
-        diff_fleet_reports,
-        heavy_tailed_tenants,
-    )
-    from repro.memory.faults import FaultSchedule, per_shard_schedules
-    from repro.serve import ServeEngine
+    from repro import spec
+    from repro.fleet import FleetSupervisor, diff_fleet_reports
     from repro.serve.durability import SimulatedCrash
 
     cycles = 900 if _full(scale) else 450
@@ -1224,33 +1218,23 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         f"{checkpoint_every} cycles",
     )
 
-    def shard_schedule(shard: int) -> FaultSchedule:
-        base = FaultSchedule.parse(fault_spec)
-        return per_shard_schedules(base, shards)[shard]
-
-    def build_engine(shard: int) -> ServeEngine:
-        tree = CompleteBinaryTree(8)
-        mapping = ColorMapping.for_modules(tree, 7)
-        system = ParallelMemorySystem(mapping)
-        system.attach_faults(shard_schedule(shard))
-        return ServeEngine(system, policy="greedy-pack")
-
-    def make_fleet(kills):
-        engines = [build_engine(i) for i in range(shards)]
-        coordinator = FleetCoordinator(
-            engines, router="least-loaded", kills=kills
-        )
-        return coordinator, build_engine
-
-    def population():
-        tree = CompleteBinaryTree(8)
-        return heavy_tailed_tenants(tree, 8, workload, 4.0, seed=7).clients
-
     kills = [f"{shard + 1}@{at}" for shard, at in enumerate(kill_at)]
+    config = {
+        "shards": shards,
+        "router": "least-loaded",
+        "levels": 8,
+        "modules": 7,
+        "arrival_rate": 4.0,
+        "workload": workload,
+        "tenants": 8,
+        "seed": 7,
+        "faults": fault_spec,
+        "kill_shard_at": kills,
+    }
 
     def supervised(state_dir, crash_at=None):
-        coordinator, factory = make_fleet(kills)
-        return FleetSupervisor(
+        coordinator, population, _, factory = spec.fleet(config)
+        supervisor = FleetSupervisor(
             coordinator,
             factory=factory,
             state_dir=state_dir,
@@ -1258,6 +1242,7 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
             restart_after=restart_after,
             crash_at=crash_at,
         )
+        return supervisor, population.clients
 
     def identity(report) -> bool:
         return (
@@ -1269,7 +1254,8 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # -- (a) kill/restart soak: >= 3 restarts, exactly-once ---------------
-        healed = supervised(tmp / "healed").serve(population(), cycles)
+        supervisor, clients = supervised(tmp / "healed")
+        healed = supervisor.serve(clients, cycles)
         result.add_row(
             "soak:healed", healed.restarts, round(healed.goodput, 3),
             round(healed.availability, 4), healed.fleet_shed,
@@ -1281,7 +1267,8 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         result.require(identity(healed))
 
         # -- (b) determinism: identical re-run, and crash + recover -----------
-        rerun = supervised(tmp / "rerun").serve(population(), cycles)
+        supervisor, clients = supervised(tmp / "rerun")
+        rerun = supervisor.serve(clients, cycles)
         rerun_diffs = diff_fleet_reports(healed, rerun)
         result.add_row(
             "determinism:rerun", rerun.restarts, round(rerun.goodput, 3),
@@ -1291,14 +1278,14 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         result.require(rerun_diffs == [])
 
         crash_at = kill_at[-1] + restart_after + checkpoint_every
+        supervisor, clients = supervised(tmp / "crashed", crash_at=crash_at)
         try:
-            supervised(tmp / "crashed", crash_at=crash_at).serve(
-                population(), cycles
-            )
+            supervisor.serve(clients, cycles)
             result.require(False)  # the crash must fire
         except SimulatedCrash:
             pass
-        recovered = supervised(tmp / "crashed").recover(population())
+        supervisor, clients = supervised(tmp / "crashed")
+        recovered = supervisor.recover(clients)
         recovered_diffs = diff_fleet_reports(healed, recovered)
         result.add_row(
             "determinism:crash+recover", recovered.restarts,
@@ -1309,8 +1296,8 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         result.require(recovered_diffs == [])
 
         # -- (c) restarts strictly beat failover-only -------------------------
-        failover_coord, _ = make_fleet(kills)
-        failover = FleetSupervisor(failover_coord).serve(population(), cycles)
+        coordinator, population, _, _ = spec.fleet(config)
+        failover = FleetSupervisor(coordinator).serve(population.clients, cycles)
         result.add_row(
             "failover-only", failover.restarts, round(failover.goodput, 3),
             round(failover.availability, 4), failover.fleet_shed,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import tempfile
 
+from repro import spec
 from repro.obs.perf import PerfProfiler
 from repro.obs.trajectory import PerfArtifact, median_of
 
@@ -156,48 +157,15 @@ def _run_simulate(config: dict, profiler: PerfProfiler) -> None:
     profiler.count("requests", len(trace))
 
 
-def _build_engine(config: dict, profiler: PerfProfiler, recorder=None):
-    from repro.core import ColorMapping
-    from repro.memory import ParallelMemorySystem, parse_faults
-    from repro.memory.faults import FaultSchedule
-    from repro.serve import PoissonClient, ServeEngine, TemplateMix
-    from repro.serve.clients import spawn_seeds
-    from repro.trees import CompleteBinaryTree
-
-    tree = CompleteBinaryTree(config["levels"])
-    mapping = ColorMapping.for_modules(tree, config["modules"])
-    pms = ParallelMemorySystem(mapping, profiler=profiler, recorder=recorder)
-    if config.get("faults"):
-        faults = parse_faults(config["faults"])
-        if not isinstance(faults, FaultSchedule):
-            faults = FaultSchedule.from_model(faults)
-        pms.attach_faults(faults)
-    engine = ServeEngine(
-        pms,
-        policy=config["policy"],
-        repair=config.get("repair", "none"),
-        retry_timeout=config.get("retry_timeout"),
-        profiler=profiler,
-    )
-    mix = TemplateMix.parse(tree, config["workload"])
-    per_client = config["arrival_rate"] / config["clients"]
-    seeds = spawn_seeds(config["seed"], config["clients"])
-    clients = [
-        PoissonClient(i, mix, per_client, seed=seeds[i])
-        for i in range(config["clients"])
-    ]
-    return engine, clients
-
-
 def _run_serve(config: dict, profiler: PerfProfiler) -> None:
-    engine, clients = _build_engine(config, profiler)
+    engine, clients, _ = spec.serve(config, profiler)
     engine.run(clients, max_cycles=config["cycles"])
 
 
 def _run_serve_checkpoint(config: dict, profiler: PerfProfiler) -> None:
     from repro.serve import DurableServer
 
-    engine, clients = _build_engine(config, profiler)
+    engine, clients, _ = spec.serve(config, profiler)
     with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
         server = DurableServer(
             engine,
@@ -209,24 +177,16 @@ def _run_serve_checkpoint(config: dict, profiler: PerfProfiler) -> None:
 
 
 def _run_daemon(config: dict, profiler: PerfProfiler) -> None:
-    from repro.host.daemon import SubmitFeed
-    from repro.obs import EventRecorder
     from repro.serve import DurableServer
-    from repro.serve.clients import spawn_seeds
 
-    recorder = EventRecorder(capacity=config["events_capacity"])
-    engine, clients = _build_engine(config, profiler, recorder=recorder)
-    # the submit feed rides index N, exactly as the daemon wires it, and
-    # injects a deterministic burst of out-of-band work up front
-    seeds = spawn_seeds(config["seed"], config["clients"] + 1)
-    feed = SubmitFeed(
-        config["clients"],
-        engine.system.mapping.tree,
-        seed=seeds[config["clients"]],
+    # the stack ``pmtree daemon`` builds: a bounded recorder, and the submit
+    # feed appended after the traffic clients, injecting a deterministic
+    # burst of out-of-band work up front
+    engine, clients, recorder = spec.serve(
+        dict(config, obs="events.jsonl", daemon=True), profiler
     )
     for kind, size in (("subtree", 15), ("path", 11), ("composite", 24)):
-        feed.submit(kind, size, count=4)
-    clients.append(feed)
+        clients[-1].submit(kind, size, count=4)
     with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
         stream = recorder.stream_to(f"{state_dir}/events.jsonl")
         server = DurableServer(
@@ -240,71 +200,18 @@ def _run_daemon(config: dict, profiler: PerfProfiler) -> None:
 
 
 def _run_fleet(config: dict, profiler: PerfProfiler) -> None:
-    from repro.core import ColorMapping
-    from repro.fleet import FleetCoordinator, heavy_tailed_tenants
-    from repro.memory import ParallelMemorySystem
-    from repro.serve import ServeEngine
-    from repro.trees import CompleteBinaryTree
-
-    shards = []
-    for _ in range(config["shards"]):
-        tree = CompleteBinaryTree(config["levels"])
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-        # one shared profiler: spans from every shard engine roll up into
-        # a single fleet-wide profile (start/stop are idempotent/tolerant)
-        shards.append(
-            ServeEngine(
-                ParallelMemorySystem(mapping, profiler=profiler),
-                policy=config["policy"],
-                profiler=profiler,
-            )
-        )
-    population = heavy_tailed_tenants(
-        CompleteBinaryTree(config["levels"]),
-        config["tenants"],
-        config["workload"],
-        config["arrival_rate"],
-        seed=config["seed"],
-    )
-    coordinator = FleetCoordinator(shards, router=config["router"])
+    # one shared profiler: spans from every shard engine roll up into a
+    # single fleet-wide profile (start/stop are idempotent/tolerant)
+    coordinator, population, _, _ = spec.fleet(config, profiler)
     report = coordinator.run(population.clients, max_cycles=config["cycles"])
     profiler.count("requests", report.routed)
 
 
 def _run_fleet_restart(config: dict, profiler: PerfProfiler) -> None:
-    from repro.core import ColorMapping
-    from repro.fleet import (
-        FleetCoordinator,
-        FleetSupervisor,
-        heavy_tailed_tenants,
-    )
-    from repro.memory import ParallelMemorySystem
-    from repro.serve import ServeEngine
-    from repro.trees import CompleteBinaryTree
+    from repro.fleet import FleetSupervisor
 
-    def factory(shard: int) -> ServeEngine:
-        tree = CompleteBinaryTree(config["levels"])
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-        # same shared-profiler roll-up as the fleet scenario, and the
-        # supervisor reuses the factory for restarted shards
-        return ServeEngine(
-            ParallelMemorySystem(mapping, profiler=profiler),
-            policy=config["policy"],
-            profiler=profiler,
-        )
-
-    shards = [factory(i) for i in range(config["shards"])]
-    population = heavy_tailed_tenants(
-        CompleteBinaryTree(config["levels"]),
-        config["tenants"],
-        config["workload"],
-        config["arrival_rate"],
-        seed=config["seed"],
-    )
-    coordinator = FleetCoordinator(
-        shards,
-        router=config["router"],
-        kills=config["kills"].split(","),
+    coordinator, population, _, factory = spec.fleet(
+        dict(config, kill_shard_at=config["kills"].split(",")), profiler
     )
     with tempfile.TemporaryDirectory(prefix="pmtree-perf-") as state_dir:
         supervisor = FleetSupervisor(

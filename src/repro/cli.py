@@ -34,9 +34,11 @@ CLI under ``python -m repro.bench``):
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
-
+from repro import spec
 from repro.analysis import family_cost, load_report, render_coloring
 from repro.core import ColorMapping, LabelTreeMapping, ModuloMapping, RandomMapping
 from repro.core.mapping import TreeMapping
@@ -44,6 +46,11 @@ from repro.io import load_mapping, save_mapping
 from repro.memory import AccessTrace, ParallelMemorySystem
 from repro.templates import LTemplate, PTemplate, STemplate
 from repro.trees import CompleteBinaryTree
+
+# the serve and fleet builders under the names this module has long exported
+# (the benchmark's workloads import them from here)
+from repro.spec import fleet as _build_fleet
+from repro.spec import serve as _build_engine
 
 __all__ = ["main"]
 
@@ -167,22 +174,6 @@ def cmd_chart(args) -> int:
     return 0
 
 
-def _resolve_faults(spec: str):
-    """Turn a ``--faults`` value into a FaultModel or FaultSchedule.
-
-    ``@path.json`` loads a spec saved by :func:`repro.io.save_faults`;
-    anything else goes through :func:`repro.memory.faults.parse_faults`
-    (static terms like ``slow=3:2,failed=5`` give a FaultModel, timed terms
-    like ``fail=3@50:400`` give a FaultSchedule).
-    """
-    from repro.io import load_faults
-    from repro.memory import parse_faults
-
-    if spec.startswith("@"):
-        return load_faults(spec[1:])
-    return parse_faults(spec)
-
-
 def cmd_simulate(args) -> int:
     from repro.memory import FaultSchedule, apply_faults
     from repro.obs import EventRecorder
@@ -190,7 +181,7 @@ def cmd_simulate(args) -> int:
     mapping = load_mapping(args.mapping)
     trace = AccessTrace.load(args.trace)
     recorder = EventRecorder() if getattr(args, "obs", None) else None
-    faults = _resolve_faults(args.faults) if getattr(args, "faults", None) else None
+    faults = spec.resolve_faults(args.faults) if getattr(args, "faults", None) else None
     if isinstance(faults, FaultSchedule):
         pms = ParallelMemorySystem(mapping, recorder=recorder)
         pms.attach_faults(faults)
@@ -218,147 +209,47 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-#: args that fully determine a serving setup; persisted to the state dir's
-#: config.json so ``pmtree recover`` can rebuild the exact engine + clients
-_SERVE_CONFIG_KEYS = (
-    "levels",
-    "modules",
-    "mapping",
-    "policy",
-    "traffic",
-    "arrival_rate",
-    "clients",
-    "cycles",
-    "workload",
-    "queue_capacity",
-    "admission",
-    "batch_components",
-    "deadline",
-    "think_time",
-    "seed",
-    "obs",
-    "faults",
-    "repair",
-    "retry_timeout",
-    "max_retries",
-    "backoff_base",
-    "backoff_cap",
-    "checkpoint_every",
-    "events_capacity",
-)
+def _write_config(state_dir: str, config: dict) -> Path:
+    """Create ``state_dir`` and persist the run's config, from which
+    ``pmtree recover`` rebuilds the exact setup."""
+    path = Path(state_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    return path
 
 
-def _serve_config(args) -> dict:
-    return {key: getattr(args, key, None) for key in _SERVE_CONFIG_KEYS}
+def _read_config(state_dir: str, table: dict, started_by: str) -> tuple[Path, dict]:
+    path = Path(state_dir)
+    config_path = path / "config.json"
+    if not config_path.exists():
+        raise SystemExit(
+            f"{path} has no config.json — was this run started with "
+            f"'{started_by}'?"
+        )
+    return path, spec.resolve(json.loads(config_path.read_text()), table)
 
 
-def _build_engine(config: dict):
-    """Build ``(engine, clients, recorder)`` from a serve config dict.
-
-    Deliberately a pure function of the config: calling it twice yields two
-    identically configured setups, which is exactly what crash recovery
-    needs to restart "the process".  Shared by ``pmtree serve``, ``pmtree
-    recover`` and ``pmtree daemon`` — a daemon config (``daemon: true``)
-    additionally gets a :class:`~repro.host.daemon.SubmitFeed` appended
-    after the traffic clients, on its own derived seed, so HTTP-submitted
-    work is part of the same deterministic, recoverable client set."""
-    from repro.memory import FaultSchedule
-    from repro.obs import EventRecorder
-    from repro.serve import (
-        BurstyClient,
-        ClosedLoopClient,
-        PoissonClient,
-        ServeEngine,
-        TemplateMix,
-        spawn_seeds,
-    )
-
-    if config["mapping"]:
-        mapping = load_mapping(config["mapping"])
-        tree = mapping.tree
-    else:
-        tree = CompleteBinaryTree(config["levels"])
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-    mix = TemplateMix.parse(tree, config["workload"])
-    recorder = (
-        EventRecorder(capacity=config.get("events_capacity"))
-        if config["obs"]
-        else None
-    )
-    pms = ParallelMemorySystem(mapping, recorder=recorder)
-    if config["faults"]:
-        faults = _resolve_faults(config["faults"])
-        if not isinstance(faults, FaultSchedule):
-            # serving is cycle-driven: lift a static model to open windows
-            faults = FaultSchedule.from_model(faults)
-        pms.attach_faults(faults)
-    engine = ServeEngine(
-        pms,
-        policy=config["policy"],
-        queue_capacity=config["queue_capacity"],
-        admission=config["admission"],
-        max_batch_components=config["batch_components"],
-        deadline=config["deadline"],
-        retry_timeout=config["retry_timeout"],
-        max_retries=config["max_retries"],
-        backoff_base=config["backoff_base"],
-        backoff_cap=config["backoff_cap"],
-        repair=config["repair"],
-    )
-    per_client = config["arrival_rate"] / config["clients"]
-    num_clients = config["clients"]
-    # the feed's seed rides index N so the traffic clients' seeds 0..N-1
-    # are exactly what a plain serve run draws (spawn_seeds is sequential)
-    seeds = spawn_seeds(config["seed"], num_clients + 1)
-    clients = []
-    for i in range(num_clients):
-        if config["traffic"] == "poisson":
-            clients.append(PoissonClient(i, mix, per_client, seed=seeds[i]))
-        elif config["traffic"] == "bursty":
-            clients.append(BurstyClient(i, mix, per_client, seed=seeds[i]))
-        else:
-            clients.append(
-                ClosedLoopClient(
-                    i,
-                    mix,
-                    think_time=config["think_time"],
-                    seed=seeds[i],
-                )
-            )
-    if config.get("daemon"):
-        from repro.host.daemon import SubmitFeed
-
-        clients.append(SubmitFeed(num_clients, tree, seed=seeds[num_clients]))
-    return engine, clients, recorder
-
-
-def _finish_serve(report, recorder, obs_path) -> int:
+def _finish(report, recorder, obs_path, mode: str) -> int:
     print(report)
     if recorder is not None:
-        recorder.set_meta(mode="serve")
+        recorder.set_meta(mode=mode)
         path = recorder.save(obs_path)
         print(f"wrote telemetry ({len(recorder.events)} events) to {path}")
     return 0
 
 
 def cmd_serve(args) -> int:
-    import json as _json
-
-    config = _serve_config(args)
+    config = spec.resolve(vars(args), spec.SERVE)
     engine, clients, recorder = _build_engine(config)
     if not args.state_dir:
         if args.crash_at is not None:
             raise SystemExit("--crash-at requires --state-dir")
         report = engine.run(clients, max_cycles=args.cycles)
-        return _finish_serve(report, recorder, args.obs)
-
-    from pathlib import Path
+        return _finish(report, recorder, args.obs, "serve")
 
     from repro.serve import CrashPlan, DurableServer, SimulatedCrash
 
-    state_dir = Path(args.state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    (state_dir / "config.json").write_text(_json.dumps(config, indent=2) + "\n")
+    state_dir = _write_config(args.state_dir, config)
     crash_plan = (
         CrashPlan(at_cycle=args.crash_at, mode=args.crash_mode)
         if args.crash_at is not None
@@ -368,7 +259,7 @@ def cmd_serve(args) -> int:
         engine,
         clients,
         state_dir,
-        checkpoint_every=args.checkpoint_every,
+        checkpoint_every=config["checkpoint_every"],
         crash_plan=crash_plan,
     )
     try:
@@ -382,46 +273,33 @@ def cmd_serve(args) -> int:
         f"durable run: {server.checkpoints_written} checkpoints, "
         f"overhead {server.checkpoint_overhead:.1%} of wall time"
     )
-    return _finish_serve(report, recorder, args.obs)
+    return _finish(report, recorder, args.obs, "serve")
 
 
 def _recover_fleet(args) -> int:
-    import json as _json
-    from pathlib import Path
-
     from repro.fleet import FleetSupervisor
 
-    state_dir = Path(args.fleet)
-    config_path = state_dir / "config.json"
-    if not config_path.exists():
-        raise SystemExit(
-            f"{state_dir} has no config.json — was this run started with "
-            f"'pmtree fleet --shard-state-dir'?"
-        )
-    config = _json.loads(config_path.read_text())
+    state_dir, config = _read_config(
+        args.fleet, spec.FLEET, "pmtree fleet --shard-state-dir"
+    )
     coordinator, population, recorder, factory = _build_fleet(config)
-    budget = config.get("restart_budget")
     supervisor = FleetSupervisor(
         coordinator,
         factory=factory,
         state_dir=state_dir,
-        checkpoint_every=config.get("checkpoint_every") or 100,
-        restart_after=config.get("restart_after"),
-        restart_budget=3 if budget is None else budget,
+        checkpoint_every=config["checkpoint_every"],
+        restart_after=config["restart_after"],
+        restart_budget=config["restart_budget"],
     )
     report = supervisor.recover(population.clients)
     print(
         f"recovered fleet from cycle boundary in {state_dir}; "
         f"health {report.health}"
     )
-    obs_path = args.obs or config.get("obs")
-    return _finish_fleet(report, recorder, obs_path)
+    return _finish(report, recorder, args.obs or config["obs"], "fleet")
 
 
 def cmd_recover(args) -> int:
-    import json as _json
-    from pathlib import Path
-
     from repro.serve import DurableServer
 
     if bool(args.state_dir) == bool(args.fleet):
@@ -431,55 +309,40 @@ def cmd_recover(args) -> int:
         )
     if args.fleet:
         return _recover_fleet(args)
-    state_dir = Path(args.state_dir)
-    config_path = state_dir / "config.json"
-    if not config_path.exists():
-        raise SystemExit(
-            f"{state_dir} has no config.json — was this run started with "
-            f"'pmtree serve --state-dir'?"
-        )
-    config = _json.loads(config_path.read_text())
+    state_dir, config = _read_config(
+        args.state_dir, spec.SERVE, "pmtree serve --state-dir"
+    )
     engine, clients, recorder = _build_engine(config)
     server = DurableServer(
-        engine,
-        clients,
-        state_dir,
-        checkpoint_every=config.get("checkpoint_every") or 100,
+        engine, clients, state_dir, checkpoint_every=config["checkpoint_every"]
     )
     report = server.recover()
     print(
         f"recovered: replayed {server.replayed_records} journal records, "
         f"{server.checkpoints_written} new checkpoints"
     )
-    obs_path = args.obs or config.get("obs")
-    return _finish_serve(report, recorder, obs_path)
+    return _finish(report, recorder, args.obs or config["obs"], "serve")
 
 
 def cmd_daemon(args) -> int:
     import asyncio
-    import json as _json
-    from pathlib import Path
 
     from repro.host.daemon import ServeDaemon
     from repro.serve import DurableServer
 
-    state_dir = Path(args.state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
     if not args.obs:
-        args.obs = str(state_dir / "telemetry.jsonl")
-    config = _serve_config(args)
-    config["daemon"] = True
+        args.obs = str(Path(args.state_dir) / "telemetry.jsonl")
+    config = spec.resolve(vars(args), spec.SERVE)
     engine, clients, recorder = _build_engine(config)
-    config_path = state_dir / "config.json"
-    config_path.write_text(_json.dumps(config, indent=2) + "\n")
+    state_dir = _write_config(args.state_dir, config)
     server = DurableServer(
-        engine, clients, state_dir, checkpoint_every=args.checkpoint_every
+        engine, clients, state_dir, checkpoint_every=config["checkpoint_every"]
     )
     daemon = ServeDaemon(
         server,
-        clients[-1],  # the SubmitFeed _build_engine appended
+        clients[-1],  # the SubmitFeed a daemon config appends
         config=config,
-        config_path=config_path,
+        config_path=state_dir / "config.json",
         host=args.host,
         port=args.port,
         max_cycles=args.cycles,
@@ -501,147 +364,31 @@ def cmd_daemon(args) -> int:
     return 0
 
 
-#: args that fully determine a fleet setup; persisted to the fleet state
-#: dir's config.json so ``pmtree recover --fleet`` can rebuild the exact
-#: coordinator + tenant population + replacement-engine factory
-_FLEET_CONFIG_KEYS = (
-    "shards",
-    "router",
-    "levels",
-    "modules",
-    "policy",
-    "cycles",
-    "arrival_rate",
-    "workload",
-    "tenants",
-    "tenant_alpha",
-    "quota",
-    "gold_every",
-    "gold_deadline",
-    "gold_weight",
-    "kill_shard_at",
-    "queue_capacity",
-    "admission",
-    "batch_components",
-    "seed",
-    "faults",
-    "repair",
-    "retry_timeout",
-    "max_retries",
-    "obs",
-    "restart_after",
-    "restart_budget",
-    "checkpoint_every",
-)
-
-
-def _fleet_config(args) -> dict:
-    return {key: getattr(args, key, None) for key in _FLEET_CONFIG_KEYS}
-
-
-def _build_fleet(config: dict):
-    """Build ``(coordinator, population, recorder, factory)`` from a fleet
-    config dict.
-
-    Like :func:`_build_engine`, deliberately a pure function of the config:
-    ``factory(shard)`` rebuilds shard ``shard``'s engine (mapping, policy,
-    per-shard fault schedule) from scratch, which is what both a restart
-    after shard death and a whole-fleet recovery need."""
-    from repro.fleet import FleetCoordinator, SLOClass, heavy_tailed_tenants
-    from repro.memory import FaultSchedule, per_shard_schedules
-    from repro.obs import EventRecorder
-    from repro.serve import ServeEngine
-
-    tree = CompleteBinaryTree(config["levels"])
-
-    def factory(shard: int) -> ServeEngine:
-        mapping = ColorMapping.for_modules(tree, config["modules"])
-        pms = ParallelMemorySystem(mapping)
-        if config["faults"]:
-            schedule = _resolve_faults(config["faults"])
-            if not isinstance(schedule, FaultSchedule):
-                schedule = FaultSchedule.from_model(schedule)
-            pms.attach_faults(
-                per_shard_schedules(schedule, config["shards"])[shard]
-            )
-        return ServeEngine(
-            pms,
-            policy=config["policy"],
-            queue_capacity=config["queue_capacity"],
-            admission=config["admission"],
-            max_batch_components=config["batch_components"],
-            retry_timeout=config["retry_timeout"],
-            max_retries=config["max_retries"],
-            repair=config["repair"],
-        )
-
-    shards = [factory(shard) for shard in range(config["shards"])]
-    gold = SLOClass(
-        "gold", deadline=config["gold_deadline"], weight=config["gold_weight"]
-    )
-    population = heavy_tailed_tenants(
-        tree,
-        config["tenants"],
-        config["workload"],
-        config["arrival_rate"],
-        seed=config["seed"],
-        alpha=config["tenant_alpha"],
-        quota=config["quota"],
-        gold_every=config["gold_every"],
-        gold=gold,
-    )
-    recorder = EventRecorder() if config["obs"] else None
-    coordinator = FleetCoordinator(
-        shards,
-        router=config["router"],
-        directory=population.directory,
-        recorder=recorder,
-        kills=config["kill_shard_at"] or (),
-    )
-    return coordinator, population, recorder, factory
-
-
-def _finish_fleet(report, recorder, obs_path) -> int:
-    print(report)
-    if recorder is not None:
-        recorder.set_meta(mode="fleet")
-        path = recorder.save(obs_path)
-        print(f"wrote telemetry ({len(recorder.events)} events) to {path}")
-    return 0
-
-
 def cmd_fleet(args) -> int:
-    import json as _json
-
-    config = _fleet_config(args)
+    config = spec.resolve(vars(args), spec.FLEET)
     coordinator, population, recorder, factory = _build_fleet(config)
     supervised = args.shard_state_dir or args.restart_after is not None
     if not supervised:
         if args.crash_at is not None:
             raise SystemExit("--crash-at requires --shard-state-dir")
         report = coordinator.run(population.clients, args.cycles)
-        return _finish_fleet(report, recorder, args.obs)
-
-    from pathlib import Path
+        return _finish(report, recorder, args.obs, "fleet")
 
     from repro.fleet import FleetSupervisor
     from repro.serve import SimulatedCrash
 
-    state_dir = Path(args.shard_state_dir) if args.shard_state_dir else None
-    if state_dir is None and args.crash_at is not None:
+    if not args.shard_state_dir and args.crash_at is not None:
         raise SystemExit("--crash-at requires --shard-state-dir")
-    if state_dir is not None:
-        state_dir.mkdir(parents=True, exist_ok=True)
-        (state_dir / "config.json").write_text(
-            _json.dumps(config, indent=2) + "\n"
-        )
+    state_dir = (
+        _write_config(args.shard_state_dir, config) if args.shard_state_dir else None
+    )
     supervisor = FleetSupervisor(
         coordinator,
         factory=factory,
         state_dir=state_dir,
-        checkpoint_every=args.checkpoint_every,
-        restart_after=args.restart_after,
-        restart_budget=args.restart_budget,
+        checkpoint_every=config["checkpoint_every"],
+        restart_after=config["restart_after"],
+        restart_budget=config["restart_budget"],
         crash_at=args.crash_at,
     )
     try:
@@ -654,7 +401,7 @@ def cmd_fleet(args) -> int:
         )
         print(f"resume with: pmtree recover --fleet {state_dir}")
         return 9
-    return _finish_fleet(report, recorder, args.obs)
+    return _finish(report, recorder, args.obs, "fleet")
 
 
 def cmd_obs_record(args) -> int:
@@ -809,54 +556,40 @@ def cmd_obs_export(args) -> int:
 
 def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     """The serve-engine configuration flags shared by ``serve`` and
-    ``daemon`` (everything :data:`_SERVE_CONFIG_KEYS` persists except the
-    per-command extras like ``--state-dir`` and ``--events-capacity``)."""
-    parser.add_argument("--levels", type=int, default=11, help="tree levels H")
+    ``daemon``.  Their defaults come from :data:`repro.spec.SERVE`: a
+    parser-level default applies to every flag added after it that names
+    none of its own."""
+    parser.set_defaults(**spec.SERVE)
+    parser.add_argument("--levels", type=int, help="tree levels H")
     parser.add_argument(
-        "--modules", type=int, default=15, help="memory modules M (COLOR mapping)"
+        "--modules", type=int, help="memory modules M (COLOR mapping)"
     )
     parser.add_argument(
         "--mapping", help="mapping .npz (overrides --levels/--modules)"
     )
-    parser.add_argument(
-        "--policy",
-        choices=["fifo", "greedy-pack", "load-aware"],
-        default="greedy-pack",
-    )
-    parser.add_argument(
-        "--traffic",
-        choices=["poisson", "bursty", "closed-loop"],
-        default="poisson",
-    )
+    parser.add_argument("--policy", choices=["fifo", "greedy-pack", "load-aware"])
+    parser.add_argument("--traffic", choices=["poisson", "bursty", "closed-loop"])
     parser.add_argument(
         "--arrival-rate",
         type=float,
-        default=0.2,
         help="total open-loop arrivals per cycle across all clients",
     )
-    parser.add_argument("--clients", type=int, default=4)
-    parser.add_argument("--cycles", type=int, default=2000, help="arrival window")
+    parser.add_argument("--clients", type=int)
+    parser.add_argument("--cycles", type=int, help="arrival window")
     parser.add_argument(
         "--workload",
-        default="subtree:15=1,path:11=1,level:7=1",
         help="template mix, kind:size=weight terms (composite:SIZExC=weight)",
     )
     parser.add_argument(
-        "--queue-capacity", type=int, default=256, help="admission bound in items"
+        "--queue-capacity", type=int, help="admission bound in items"
     )
+    parser.add_argument("--admission", choices=["block", "shed", "degrade"])
+    parser.add_argument("--batch-components", type=int, help="the paper's c")
     parser.add_argument(
-        "--admission", choices=["block", "shed", "degrade"], default="block"
+        "--deadline", type=int, help="per-request deadline in cycles"
     )
-    parser.add_argument(
-        "--batch-components", type=int, default=4, help="the paper's c"
-    )
-    parser.add_argument(
-        "--deadline", type=int, default=None, help="per-request deadline in cycles"
-    )
-    parser.add_argument(
-        "--think-time", type=int, default=0, help="closed-loop think time"
-    )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--think-time", type=int, help="closed-loop think time")
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--obs", metavar="PATH", help="record cycle-level telemetry to a .jsonl artifact"
     )
@@ -869,23 +602,26 @@ def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--repair",
         choices=["none", "oblivious", "color"],
-        default="none",
         help="remap dead modules' nodes while they are down",
     )
     parser.add_argument(
         "--retry-timeout",
         type=int,
-        default=None,
         help="cycles before an in-flight batch is aborted and retried",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=3, help="retries before degrading"
+        "--max-retries", type=int, help="retries before degrading"
     )
     parser.add_argument(
-        "--backoff-base", type=int, default=8, help="initial retry backoff (cycles)"
+        "--backoff-base", type=int, help="initial retry backoff (cycles)"
     )
     parser.add_argument(
-        "--backoff-cap", type=int, default=128, help="max retry backoff (cycles)"
+        "--backoff-cap", type=int, help="max retry backoff (cycles)"
+    )
+    parser.add_argument(
+        "--checkpoint-every",
+        type=int,
+        help="cycles between checkpoints of a durable run",
     )
 
 
@@ -969,12 +705,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(resumable with 'pmtree recover' after a crash)",
     )
     serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=100,
-        help="cycles between checkpoints (with --state-dir)",
-    )
-    serve.add_argument(
         "--crash-at",
         type=int,
         default=None,
@@ -1000,12 +730,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         required=True,
         help="durable state: checkpoints, journal and config.json live here",
-    )
-    daemon.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=100,
-        help="cycles between checkpoints",
     )
     daemon.add_argument(
         "--host", default="127.0.0.1", help="control-plane bind address"
@@ -1035,7 +759,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ring-buffer bound on the in-memory event buffer "
         "(live sinks and metrics see everything regardless)",
     )
-    daemon.set_defaults(fn=cmd_daemon)
+    daemon.set_defaults(fn=cmd_daemon, daemon=True)
 
     recover = sub.add_parser(
         "recover",
@@ -1062,65 +786,51 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a multi-tenant stream across N engine shards with "
         "routing, quotas and shard-loss failover",
     )
-    fleet.add_argument("--shards", type=int, default=4, help="engine shards N")
+    # flag defaults come from repro.spec.FLEET, as for serve
+    fleet.set_defaults(**spec.FLEET)
+    fleet.add_argument("--shards", type=int, help="engine shards N")
     fleet.add_argument(
         "--router",
         choices=["round-robin", "least-loaded", "affinity"],
-        default="affinity",
         help="request placement strategy",
     )
-    fleet.add_argument("--levels", type=int, default=10, help="tree levels H")
-    fleet.add_argument(
-        "--modules", type=int, default=15, help="modules M per shard (COLOR)"
-    )
-    fleet.add_argument(
-        "--policy",
-        choices=["fifo", "greedy-pack", "load-aware"],
-        default="greedy-pack",
-    )
-    fleet.add_argument("--cycles", type=int, default=800, help="arrival window")
+    fleet.add_argument("--levels", type=int, help="tree levels H")
+    fleet.add_argument("--modules", type=int, help="modules M per shard (COLOR)")
+    fleet.add_argument("--policy", choices=["fifo", "greedy-pack", "load-aware"])
+    fleet.add_argument("--cycles", type=int, help="arrival window")
     fleet.add_argument(
         "--arrival-rate",
         type=float,
-        default=1.2,
         help="total arrivals per cycle across the whole tenant population",
     )
     fleet.add_argument(
         "--workload",
-        default="subtree:15=1,path:9=1,level:7=1",
         help="template families cycled across tenants (kind:size=weight terms)",
     )
-    fleet.add_argument(
-        "--tenants", type=int, default=8, help="tenant population size"
-    )
+    fleet.add_argument("--tenants", type=int, help="tenant population size")
     fleet.add_argument(
         "--tenant-alpha",
         type=float,
-        default=1.2,
         help="Zipf exponent for the heavy-tailed tenant rate split",
     )
     fleet.add_argument(
         "--quota",
         type=int,
-        default=None,
         help="max outstanding requests per tenant (fleet admission)",
     )
     fleet.add_argument(
         "--gold-every",
         type=int,
-        default=0,
         help="promote every k-th tenant to the gold SLO class (0 = none)",
     )
     fleet.add_argument(
         "--gold-deadline",
         type=int,
-        default=96,
         help="gold-class completion deadline in cycles",
     )
     fleet.add_argument(
         "--gold-weight",
         type=float,
-        default=4.0,
         help="gold-class admission weight (bronze is 1)",
     )
     fleet.add_argument(
@@ -1130,15 +840,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="kill a shard mid-run (repeatable; bare CYCLE kills shard 0)",
     )
     fleet.add_argument(
-        "--queue-capacity", type=int, default=256, help="per-shard admission bound"
+        "--queue-capacity", type=int, help="per-shard admission bound"
     )
-    fleet.add_argument(
-        "--admission", choices=["block", "shed", "degrade"], default="block"
-    )
-    fleet.add_argument(
-        "--batch-components", type=int, default=4, help="the paper's c"
-    )
-    fleet.add_argument("--seed", type=int, default=0)
+    fleet.add_argument("--admission", choices=["block", "shed", "degrade"])
+    fleet.add_argument("--batch-components", type=int, help="the paper's c")
+    fleet.add_argument("--seed", type=int)
     fleet.add_argument(
         "--faults",
         metavar="SPEC",
@@ -1148,17 +854,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--repair",
         choices=["none", "oblivious", "color"],
-        default="none",
         help="per-shard repair mode for dead modules",
     )
     fleet.add_argument(
         "--retry-timeout",
         type=int,
-        default=None,
         help="per-shard batch abort threshold in cycles",
     )
     fleet.add_argument(
-        "--max-retries", type=int, default=3, help="retries before degrading"
+        "--max-retries", type=int, help="retries before degrading"
     )
     fleet.add_argument(
         "--obs", metavar="PATH", help="record fleet routing telemetry to .jsonl"
@@ -1166,14 +870,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--restart-after",
         type=int,
-        default=None,
         help="self-heal: restart a dead shard this many cycles after its "
         "death (omitted = pure failover)",
     )
     fleet.add_argument(
         "--restart-budget",
         type=int,
-        default=3,
         help="max restart attempts per shard (capped exponential backoff)",
     )
     fleet.add_argument(
@@ -1185,7 +887,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--checkpoint-every",
         type=int,
-        default=100,
         help="fleet cycles between checkpoints (with --shard-state-dir)",
     )
     fleet.add_argument(

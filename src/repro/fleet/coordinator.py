@@ -183,30 +183,6 @@ class ShardKill:
         )
 
 
-class _AliveView:
-    """Boolean list view over the health state machine (back-compat).
-
-    ``coordinator._alive[s]`` reads as "is shard ``s`` alive"; assigning
-    forces the shard alive/dead directly, without running the failover
-    path — exactly what the boolean list this view replaced allowed.
-    """
-
-    def __init__(self, coordinator: "FleetCoordinator"):
-        self._coordinator = coordinator
-
-    def __getitem__(self, shard: int) -> bool:
-        return self._coordinator._health[shard] == "alive"
-
-    def __setitem__(self, shard: int, value: bool) -> None:
-        self._coordinator._health[shard] = "alive" if value else "dead"
-
-    def __len__(self) -> int:
-        return len(self._coordinator._health)
-
-    def __iter__(self):
-        return (state == "alive" for state in self._coordinator._health)
-
-
 class FleetCoordinator:
     """Step-drive N shards behind fleet-level routing and admission.
 
@@ -270,7 +246,6 @@ class FleetCoordinator:
             if any(spec.shard == kill.shard for spec in self._kill_specs):
                 raise ValueError(f"shard {kill.shard} killed twice")
             self._kill_specs.append(kill)
-        self._alive = _AliveView(self)
         self._clients: list[Client] = []
         self._max_cycles = 0
         self._drain = True

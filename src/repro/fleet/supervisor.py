@@ -43,7 +43,6 @@ fleet-level source of truth.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 from repro.fleet.coordinator import FLEET_SNAPSHOT_VERSION, FleetCoordinator
@@ -54,9 +53,11 @@ from repro.serve.clients import Client
 from repro.serve.durability import (
     CheckpointStore,
     DurabilityError,
-    JournalError,
     SimulatedCrash,
+    attach_journal,
     diff_reports,
+    read_manifest,
+    write_manifest,
 )
 from repro.serve.engine import ServeEngine
 
@@ -166,15 +167,6 @@ class FleetSupervisor:
         )
 
     @property
-    def _last_checkpoint(self) -> int:
-        """Checkpoint-cadence state; lives on the driver."""
-        return self.driver.last_checkpoint
-
-    @_last_checkpoint.setter
-    def _last_checkpoint(self, cycle: int) -> None:
-        self.driver.last_checkpoint = cycle
-
-    @property
     def cycle(self) -> int:
         """The fleet's clock (delegates to the coordinator)."""
         return self.coordinator._cycle
@@ -183,12 +175,6 @@ class FleetSupervisor:
     def active(self) -> bool:
         """True between :meth:`start` and the fleet's natural end."""
         return self.coordinator._active
-
-    @property
-    def manifest_path(self) -> Path:
-        if self.state_dir is None:
-            raise DurabilityError("this supervisor has no state dir")
-        return self.state_dir / "run.json"
 
     def _fleet_snapshot_path(self, cycle: int) -> Path:
         return self.state_dir / f"fleet-{cycle:09d}.json"
@@ -217,30 +203,21 @@ class FleetSupervisor:
         (everything :meth:`serve` does short of driving the loop)."""
         coord = self.coordinator
         if self.state_dir is not None:
-            self.manifest_path.write_text(
-                json.dumps(
-                    {
-                        "max_cycles": max_cycles,
-                        "drain": drain,
-                        "drain_limit": drain_limit,
-                        "shards": len(coord.shards),
-                    }
-                )
-                + "\n"
+            write_manifest(
+                self.state_dir,
+                max_cycles,
+                drain,
+                drain_limit,
+                shards=len(coord.shards),
             )
         coord.start(clients, max_cycles, drain=drain, drain_limit=drain_limit)
         self._attempts = {}
         self._pending = {}
         self._deaths_seen = 0
-        self._last_checkpoint = -1
+        self.driver.last_checkpoint = -1
         if self.stores is not None:
             for shard, engine in enumerate(coord.shards):
-                journal = self.stores[shard].create_journal()
-                journal.profiler = engine.profiler
-                engine.journal = journal
-
-    # back-compat spelling from before the supervisor was a Steppable
-    _start = start
+                attach_journal(engine, self.stores[shard].create_journal())
 
     def recover(self, clients: list[Client]) -> FleetReport:
         """Resume a crashed fleet run from ``state_dir`` and drive it home.
@@ -257,11 +234,7 @@ class FleetSupervisor:
         """
         if self.state_dir is None:
             raise DurabilityError("this supervisor has no state dir")
-        if not self.manifest_path.exists():
-            raise DurabilityError(
-                f"{self.state_dir} holds no run manifest; nothing to recover"
-            )
-        manifest = json.loads(self.manifest_path.read_text())
+        manifest = read_manifest(self.state_dir)
         if int(manifest["shards"]) != len(self.coordinator.shards):
             raise DurabilityError(
                 f"manifest covers {manifest['shards']} shards; this fleet "
@@ -324,17 +297,15 @@ class FleetSupervisor:
                 # death snapshot is gone: serve on with an empty history
                 engine.start(
                     [feed],
-                    int(manifest["max_cycles"]),
-                    drain=bool(manifest["drain"]),
-                    drain_limit=int(manifest["drain_limit"]),
+                    manifest["max_cycles"],
+                    drain=manifest["drain"],
+                    drain_limit=manifest["drain_limit"],
                 )
                 engine._active = False
             coord.shards[shard] = engine
             if state in ("alive", "suspected"):
-                journal = self.stores[shard].recover_journal()
+                journal = attach_journal(engine, self.stores[shard].recover_journal())
                 journal.seek_replay(snap.seqno)
-                journal.profiler = engine.profiler
-                engine.journal = journal
         coord.restore_state(fleet_state, clients)
         sup = payload.get("supervisor", {})
         self._attempts = {
@@ -344,7 +315,7 @@ class FleetSupervisor:
             int(s): int(c) for s, c in sup.get("pending", {}).items()
         }
         self._deaths_seen = int(sup.get("deaths_seen", len(coord._dead)))
-        self._last_checkpoint = cycle
+        self.driver.last_checkpoint = cycle
 
     # -- the supervised loop ---------------------------------------------------
 
@@ -364,12 +335,8 @@ class FleetSupervisor:
         for shard, engine in enumerate(coord.shards):
             if engine.journal is None:
                 continue
-            if engine.journal.replaying and coord._steppable(shard):
-                raise JournalError(
-                    f"shard {shard}'s journal holds "
-                    f"{engine.journal.replay_total} records past the end of "
-                    f"the recovered run — the histories disagree"
-                )
+            if coord._steppable(shard):
+                engine.journal.require_replayed(f"shard {shard}'s journal")
             engine.journal.close()
         return coord.finish()
 
@@ -464,9 +431,7 @@ class FleetSupervisor:
                 if snapshot is not None:
                     engine = self._build_engine(shard)
                     engine.restore(snapshot, [feed])
-                    journal = store.recover_journal()
-                    journal.profiler = engine.profiler
-                    engine.journal = journal
+                    attach_journal(engine, store.recover_journal())
                     coord.rejoin(shard, engine, how="checkpoint")
                     if rec.enabled:
                         rec.event(
@@ -498,8 +463,7 @@ class FleetSupervisor:
                 ]
                 if admitted:
                     engine._next_id = max(engine._next_id, max(admitted) + 1)
-                journal.profiler = engine.profiler
-                engine.journal = journal
+                attach_journal(engine, journal)
                 coord.rejoin(shard, engine, how="journal")
                 if rec.enabled:
                     rec.event(
@@ -521,9 +485,7 @@ class FleetSupervisor:
                 drain_limit=coord._drain_limit,
             )
             if store is not None:
-                journal = store.create_journal()
-                journal.profiler = engine.profiler
-                engine.journal = journal
+                attach_journal(engine, store.create_journal())
             coord.rejoin(shard, engine, how="fresh")
             if rec.enabled:
                 rec.event(

@@ -76,20 +76,22 @@ __all__ = [
     "DurabilityError",
     "DurableServer",
     "EngineSnapshot",
-    "JOURNAL_COMPAT_FIELDS",
     "JournalError",
     "RecoveryResult",
     "ServeJournal",
     "SimulatedCrash",
     "assert_equivalent",
+    "attach_journal",
     "diff_reports",
     "filter_control",
     "instance_from_json",
     "instance_to_json",
     "journal_accounting",
+    "read_manifest",
     "request_from_json",
     "request_to_json",
     "run_with_recovery",
+    "write_manifest",
 ]
 
 SNAPSHOT_VERSION = 1
@@ -99,25 +101,6 @@ JOURNAL_FORMAT = 1
 #: run-equivalence comparison (an uninterrupted run has no reason to carry
 #: them, and a recovered one necessarily does)
 CONTROL_EVENTS = frozenset({"checkpoint", "restore", "journal_replay"})
-
-#: journal-record fields added after the format froze: a journal written by
-#: an engine that predates them replays clean against an engine that emits
-#: them (the field is ignored iff the journalled record lacks it)
-JOURNAL_COMPAT_FIELDS = frozenset({"tenant"})
-
-
-def _compat_equal(journalled: dict, emitted: dict) -> bool:
-    """Record equality modulo :data:`JOURNAL_COMPAT_FIELDS` the journalled
-    record predates."""
-    missing = {
-        key
-        for key in JOURNAL_COMPAT_FIELDS
-        if key in emitted and key not in journalled
-    }
-    if not missing:
-        return False  # nothing to forgive; exact comparison already failed
-    return {k: v for k, v in emitted.items() if k not in missing} == journalled
-
 
 class DurabilityError(RuntimeError):
     """A snapshot or recovery invariant was violated."""
@@ -551,19 +534,12 @@ class ServeJournal:
     # -- recording -------------------------------------------------------------
 
     def record(self, kind: str, cycle: int, **fields) -> None:
-        """Append one record — or, during replay, verify it byte-for-byte.
-
-        One deliberate relaxation: fields in :data:`JOURNAL_COMPAT_FIELDS`
-        that a journal written by an older engine never recorded are ignored
-        during verification, so adding such a field does not invalidate
-        existing journals.  A journal that *does* carry the field is still
-        compared exactly.
-        """
+        """Append one record — or, during replay, verify it byte-for-byte."""
         rec = {"seq": self._next, "kind": kind, "cycle": cycle}
         rec.update(fields)
         if self._next < self._replay_upto:
             expected = self.records[self._next]
-            if expected != rec and not _compat_equal(expected, rec):
+            if expected != rec:
                 raise JournalError(
                     f"replay diverged at seqno {self._next}: the journal "
                     f"holds {expected!r} but the resumed run emitted {rec!r}"
@@ -575,6 +551,15 @@ class ServeJournal:
         with self.profiler.span("journal"):
             self._fh.write(json.dumps({"crc": _record_crc(rec), "rec": rec}) + "\n")
             self._fh.flush()
+
+    def require_replayed(self, owner: str = "the journal") -> None:
+        """Raise :class:`JournalError` if the run ended while journalled
+        records were still waiting to be re-emitted."""
+        if self.replaying:
+            raise JournalError(
+                f"{owner} holds {self.replay_total} records past the end of "
+                f"the recovered run — the histories disagree"
+            )
 
     def close(self) -> None:
         if self._fh is not None:
@@ -679,6 +664,50 @@ class CheckpointStore:
         return None
 
 
+def attach_journal(engine: ServeEngine, journal: ServeJournal) -> ServeJournal:
+    """Make ``journal`` the engine's write-ahead log, timed by the engine's
+    profiler."""
+    journal.profiler = engine.profiler
+    engine.journal = journal
+    return journal
+
+
+def write_manifest(
+    state_dir: Path, max_cycles: int, drain: bool, drain_limit: int, **extra
+) -> None:
+    """Persist a durable run's loop arguments (plus ``extra`` fields) as
+    ``<state_dir>/run.json``; a recovery with no usable snapshot restarts
+    the run from them."""
+    (state_dir / "run.json").write_text(
+        json.dumps(
+            {
+                "max_cycles": max_cycles,
+                "drain": drain,
+                "drain_limit": drain_limit,
+                **extra,
+            }
+        )
+        + "\n"
+    )
+
+
+def read_manifest(state_dir: Path) -> dict:
+    """Load ``<state_dir>/run.json`` as written by :func:`write_manifest`,
+    with the loop arguments typed for :meth:`ServeEngine.start`."""
+    path = state_dir / "run.json"
+    if not path.exists():
+        raise DurabilityError(
+            f"{state_dir} holds no run manifest; nothing to recover"
+        )
+    manifest = json.loads(path.read_text())
+    return {
+        **manifest,
+        "max_cycles": int(manifest["max_cycles"]),
+        "drain": bool(manifest["drain"]),
+        "drain_limit": int(manifest["drain_limit"]),
+    }
+
+
 class DurableServer:
     """Supervises a serving run with periodic checkpoints and a WAL.
 
@@ -734,21 +763,8 @@ class DurableServer:
         )
 
     @property
-    def _last_checkpoint(self) -> int:
-        """Checkpoint-cadence state; lives on the driver."""
-        return self.driver.last_checkpoint
-
-    @_last_checkpoint.setter
-    def _last_checkpoint(self, cycle: int) -> None:
-        self.driver.last_checkpoint = cycle
-
-    @property
     def journal_path(self) -> Path:
         return self.store.journal_path
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.state_dir / "run.json"
 
     def _snapshot_path(self, cycle: int) -> Path:
         return self.store.snapshot_path(cycle)
@@ -785,19 +801,8 @@ class DurableServer:
         via :meth:`_loop`, while the daemon (:mod:`repro.host.daemon`) pumps
         ``self.driver.tick()`` from asyncio one boundary at a time.
         """
-        self.manifest_path.write_text(
-            json.dumps(
-                {
-                    "max_cycles": max_cycles,
-                    "drain": drain,
-                    "drain_limit": drain_limit,
-                }
-            )
-            + "\n"
-        )
-        self.journal = self.store.create_journal()
-        self.journal.profiler = self.engine.profiler
-        self.engine.journal = self.journal
+        write_manifest(self.state_dir, max_cycles, drain, drain_limit)
+        self.journal = attach_journal(self.engine, self.store.create_journal())
         self.engine.start(
             self.clients, max_cycles, drain=drain, drain_limit=drain_limit
         )
@@ -811,30 +816,23 @@ class DurableServer:
         passed, then continue appending.  With no usable snapshot the run
         re-executes from cycle 0 (cold start) under the same verification.
         """
-        if not self.manifest_path.exists():
-            raise DurabilityError(
-                f"{self.state_dir} holds no run manifest; nothing to recover"
-            )
-        manifest = json.loads(self.manifest_path.read_text())
-        self.journal = self.store.recover_journal()
-        self.journal.profiler = self.engine.profiler
+        manifest = read_manifest(self.state_dir)
         engine = self.engine
+        self.journal = attach_journal(engine, self.store.recover_journal())
         snapshot = self._latest_snapshot()
         if snapshot is None:
             self.journal.seek_replay(0)
-            engine.journal = self.journal
             engine.start(
                 self.clients,
-                int(manifest["max_cycles"]),
-                drain=bool(manifest["drain"]),
-                drain_limit=int(manifest["drain_limit"]),
+                manifest["max_cycles"],
+                drain=manifest["drain"],
+                drain_limit=manifest["drain_limit"],
             )
             restored_from = None
         else:
             engine.restore(snapshot, self.clients)
             self.journal.seek_replay(snapshot.seqno)
-            engine.journal = self.journal
-            self._last_checkpoint = snapshot.cycle
+            self.driver.last_checkpoint = snapshot.cycle
             restored_from = snapshot.cycle
         rec = engine.system.recorder
         if rec.enabled:
@@ -886,11 +884,7 @@ class DurableServer:
         started = time.perf_counter()
         try:
             driver.loop()
-            if journal.replaying:
-                raise JournalError(
-                    f"the journal holds {journal.replay_total} records past "
-                    f"the end of the recovered run — the histories disagree"
-                )
+            journal.require_replayed()
             return engine.finish()
         finally:
             self.run_seconds += time.perf_counter() - started
@@ -909,7 +903,7 @@ class DurableServer:
         self.store.write_snapshot(engine)
         self.checkpoint_seconds += time.perf_counter() - started
         self.checkpoints_written += 1
-        self._last_checkpoint = engine._cycle
+        self.driver.last_checkpoint = engine._cycle
 
     def _crash(self, plan: CrashPlan) -> None:
         engine = self.engine

@@ -145,25 +145,13 @@ def test_suspected_shard_steps_but_takes_no_traffic(tree):
     assert routed_while_suspected == []
 
 
-def test_alive_view_is_boolean_facade(tree):
-    coordinator = FleetCoordinator(make_shards(3))
-    view = coordinator._alive
-    assert len(view) == 3
-    assert list(view) == [True, True, True]
-    view[1] = False
-    assert coordinator.health[1] == "dead"
-    assert coordinator.alive_shards == [0, 2]
-    view[1] = True
-    assert coordinator.health == ["alive"] * 3
-
-
 def test_restore_transitions_validated(tree):
     coordinator = FleetCoordinator(make_shards(2))
     with pytest.raises(ValueError, match="only dead shards"):
         coordinator.begin_restore(0)
     with pytest.raises(ValueError, match="nothing to rejoin"):
         coordinator.rejoin(0)
-    coordinator._alive[1] = False
+    coordinator._health[1] = "dead"
     coordinator.begin_restore(1)
     assert coordinator.health[1] == "restoring"
     coordinator.abandon_restore(1)

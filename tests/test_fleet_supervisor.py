@@ -194,7 +194,7 @@ def test_backoff_schedule_is_capped_exponential(tmp_path):
         backoff=3,
         backoff_cap=8,
     )
-    supervisor._start(population().clients, 200)
+    supervisor.start(population().clients, 200)
     # pretend two attempts already burned: the third waits
     # restart_after * min(backoff**2, cap) = 10 * 8 cycles
     supervisor._attempts[1] = 2
@@ -210,7 +210,7 @@ def test_backoff_schedule_is_capped_exponential(tmp_path):
 
 
 def run_to_death(supervisor, coordinator, shard=1, max_cycles=240):
-    supervisor._start(population().clients, max_cycles)
+    supervisor.start(population().clients, max_cycles)
     while coordinator.health[shard] != "dead":
         assert supervisor.step()
 

@@ -29,6 +29,7 @@ from repro.serve import (
     journal_accounting,
     run_with_recovery,
 )
+from repro.serve.durability import read_manifest, write_manifest
 from repro.serve.slo import SLOTracker
 from repro.trees import CompleteBinaryTree
 
@@ -338,6 +339,19 @@ class TestCrashRecovery:
         server = DurableServer(engine, clients, tmp_path / "empty")
         with pytest.raises(DurabilityError, match="manifest"):
             server.recover()
+
+    def test_run_manifest_bytes_are_stable(self, tmp_path):
+        """State dirs written by earlier releases must keep recovering."""
+        write_manifest(tmp_path, 400, True, 50_000, shards=3)
+        assert (tmp_path / "run.json").read_text() == (
+            '{"max_cycles": 400, "drain": true, "drain_limit": 50000, "shards": 3}\n'
+        )
+        assert read_manifest(tmp_path) == {
+            "max_cycles": 400,
+            "drain": True,
+            "drain_limit": 50_000,
+            "shards": 3,
+        }
 
     def test_control_events_are_emitted_and_filtered(self, tmp_path):
         factory = make_factory()

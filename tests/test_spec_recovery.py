@@ -1,0 +1,169 @@
+"""Randomized crash recovery over specs built by :mod:`repro.spec`.
+
+E20 and E22 check recovery on fixed sweeps.  Here hypothesis draws small
+serve and fleet configs (policy, router, traffic, admission, faults, shard
+kills, restarts, checkpoint cadence, crash cycle and crash mode), and for
+each one:
+
+* a run crashed at the drawn cycle and recovered from its state dir reports
+  exactly what the uninterrupted run reports;
+* every arrival is accounted for once: ``completed + shed == arrivals`` for
+  a serve run, ``completed + quota_shed + shard_shed + fleet_shed ==
+  arrivals`` for a fleet.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import spec
+from repro.fleet import FleetSupervisor, diff_fleet_reports
+from repro.serve import CrashPlan, diff_reports, run_with_recovery
+from repro.serve.durability import CRASH_MODES, SimulatedCrash
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def fault_specs(draw, modules: int, cycles: int):
+    """``None`` or a timed spec of fail/slow/drop windows that all close
+    before the arrival window ends, so every run drains."""
+    if not draw(st.booleans()):
+        return None
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(["fail", "slow", "drop"]), max_size=3)):
+        start = draw(st.integers(0, cycles // 2))
+        end = draw(st.integers(start + 1, cycles - 1))
+        module = draw(st.integers(0, modules - 1))
+        if kind == "fail" and not any(t.startswith(f"fail={module}@") for t in terms):
+            terms.append(f"fail={module}@{start}:{end}")
+        elif kind == "slow" and not any(t.startswith(f"slow={module}:") for t in terms):
+            terms.append(f"slow={module}:{draw(st.integers(2, 4))}@{start}:{end}")
+        elif kind == "drop" and not any(t.startswith("drop=") for t in terms):
+            terms.append(f"drop={draw(st.sampled_from([0.02, 0.1]))}@{start}:{end}")
+    terms.append(f"seed={draw(st.integers(0, 99))}")
+    return ",".join(terms)
+
+
+@st.composite
+def serve_specs(draw):
+    modules = draw(st.sampled_from([3, 5, 7]))
+    cycles = draw(st.integers(60, 160))
+    return {
+        "levels": draw(st.integers(5, 8)),
+        "modules": modules,
+        "policy": draw(st.sampled_from(["fifo", "greedy-pack", "load-aware"])),
+        "traffic": draw(st.sampled_from(["poisson", "bursty", "closed-loop"])),
+        "arrival_rate": draw(st.sampled_from([0.1, 0.25, 0.5])),
+        "clients": draw(st.integers(1, 3)),
+        "cycles": cycles,
+        "workload": draw(
+            st.sampled_from(["subtree:7=2,path:5=1,level:4=1", "path:4=1,composite:8x2=1"])
+        ),
+        "queue_capacity": draw(st.sampled_from([32, 256])),
+        "admission": draw(st.sampled_from(["block", "shed", "degrade"])),
+        "deadline": draw(st.sampled_from([None, 20])),
+        "think_time": draw(st.integers(0, 4)),
+        "seed": draw(st.integers(0, 999)),
+        "faults": draw(fault_specs(modules, cycles)),
+        "repair": draw(st.sampled_from(["none", "oblivious", "color"])),
+        "retry_timeout": draw(st.sampled_from([None, 12, 30])),
+        "max_retries": draw(st.integers(0, 3)),
+        "checkpoint_every": draw(st.integers(5, 60)),
+    }
+
+
+@st.composite
+def fleet_specs(draw):
+    shards = draw(st.integers(2, 3))
+    cycles = draw(st.integers(80, 200))
+    killed = draw(st.lists(st.integers(0, shards - 1), unique=True, max_size=shards))
+    return {
+        "shards": shards,
+        "router": draw(st.sampled_from(["round-robin", "least-loaded", "affinity"])),
+        "levels": draw(st.integers(5, 7)),
+        "modules": draw(st.sampled_from([3, 5, 7])),
+        "policy": draw(st.sampled_from(["fifo", "greedy-pack", "load-aware"])),
+        "cycles": cycles,
+        "arrival_rate": draw(st.sampled_from([0.3, 1.0, 2.0])),
+        "workload": "subtree:7=1,path:5=1,level:4=1",
+        "tenants": draw(st.integers(1, 6)),
+        "quota": draw(st.sampled_from([None, 3])),
+        "gold_every": draw(st.integers(0, 2)),
+        "gold_deadline": 24,
+        "kill_shard_at": [
+            f"{shard}@{draw(st.integers(1, cycles - 1))}" for shard in killed
+        ],
+        "admission": draw(st.sampled_from(["block", "shed", "degrade"])),
+        "seed": draw(st.integers(0, 999)),
+        "faults": draw(fault_specs(3, cycles)),
+        "retry_timeout": draw(st.sampled_from([None, 16])),
+        "restart_after": draw(st.sampled_from([None, 10, 40])),
+        "checkpoint_every": draw(st.integers(5, 60)),
+    }
+
+
+@SETTINGS
+@given(config=serve_specs(), data=st.data())
+def test_serve_crash_recovery_equals_uninterrupted(config, data):
+    crash = CrashPlan(
+        at_cycle=data.draw(st.integers(1, config["cycles"] - 1)),
+        mode=data.draw(st.sampled_from(CRASH_MODES)),
+    )
+    engine, clients, _ = spec.serve(config)
+    uninterrupted = engine.run(clients, max_cycles=config["cycles"])
+
+    def factory():
+        engine, clients, _ = spec.serve(config)
+        return engine, clients
+
+    with tempfile.TemporaryDirectory() as state_dir:
+        outcome = run_with_recovery(
+            factory,
+            state_dir,
+            config["cycles"],
+            checkpoint_every=config["checkpoint_every"],
+            crash_plan=crash,
+        )
+    assert outcome.crashed
+    assert diff_reports(uninterrupted, outcome.report) == []
+    report = outcome.report
+    assert report.completed + report.shed == report.arrivals
+
+
+def _supervised(config, state_dir, crash_at=None):
+    coordinator, population, _, factory = spec.fleet(config)
+    supervisor = FleetSupervisor(
+        coordinator,
+        factory=factory,
+        state_dir=state_dir,
+        checkpoint_every=config["checkpoint_every"],
+        restart_after=config["restart_after"],
+        crash_at=crash_at,
+    )
+    return supervisor, population.clients
+
+
+@SETTINGS
+@given(config=fleet_specs(), data=st.data())
+def test_fleet_crash_recovery_equals_uninterrupted(config, data):
+    crash_at = data.draw(st.integers(1, config["cycles"] - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        supervisor, clients = _supervised(config, Path(tmp) / "control")
+        uninterrupted = supervisor.serve(clients, config["cycles"])
+        crashed = Path(tmp) / "crashed"
+        supervisor, clients = _supervised(config, crashed, crash_at=crash_at)
+        with pytest.raises(SimulatedCrash):
+            supervisor.serve(clients, config["cycles"])
+        supervisor, clients = _supervised(config, crashed)
+        recovered = supervisor.recover(clients)
+    assert diff_fleet_reports(uninterrupted, recovered) == []
+    shed = recovered.quota_shed + recovered.shard_shed + recovered.fleet_shed
+    assert recovered.completed + shed == recovered.arrivals
