@@ -1006,7 +1006,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RuntimeError as exc:
+        # a serving run that cannot drain is a user-facing outcome, not a bug
+        from repro.serve.engine import DrainError
+
+        if not isinstance(exc, DrainError):
+            raise
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,10 @@
 """Self-healing fleet supervision: per-shard durability, restart, rejoin.
 
 :class:`FleetSupervisor` wraps a :class:`~repro.fleet.coordinator.FleetCoordinator`
-with the two things the coordinator deliberately does not own:
+with the two things the coordinator deliberately does not own.  It is a
+:class:`~repro.serve.durability.DurableHost`: the run loop, manifest,
+journal lifecycle, crash plan and recovery fallback are the host's; this
+module supplies the fleet's boundary format and the restart ladder.
 
 * **per-shard durability** — every shard gets its own
   :class:`~repro.serve.durability.CheckpointStore` under
@@ -47,17 +50,15 @@ from pathlib import Path
 
 from repro.fleet.coordinator import FLEET_SNAPSHOT_VERSION, FleetCoordinator
 from repro.fleet.report import FleetReport
-from repro.host.driver import Driver
 from repro.io import load_snapshot, save_snapshot
 from repro.serve.clients import Client
 from repro.serve.durability import (
     CheckpointStore,
+    CrashPlan,
     DurabilityError,
-    SimulatedCrash,
+    DurableHost,
     attach_journal,
     diff_reports,
-    read_manifest,
-    write_manifest,
 )
 from repro.serve.engine import ServeEngine
 
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 
-class FleetSupervisor:
+class FleetSupervisor(DurableHost):
     """Drive a fleet run with durability, restarts and whole-fleet recovery.
 
     Parameters
@@ -103,9 +104,11 @@ class FleetSupervisor:
     crash_at:
         Crash-harness hook: raise
         :class:`~repro.serve.durability.SimulatedCrash` once the fleet
-        clock reaches this cycle (the fleet analogue of
+        clock reaches this cycle (an ``instant``
         :class:`~repro.serve.durability.CrashPlan`).
     """
+
+    crash_message = "fleet crash injected at cycle {cycle}"
 
     def __init__(
         self,
@@ -121,10 +124,6 @@ class FleetSupervisor:
         retain: int = 3,
         crash_at: int | None = None,
     ):
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
         if restart_after is not None and restart_after < 1:
             raise ValueError(
                 f"restart_after must be >= 1, got {restart_after}"
@@ -135,21 +134,24 @@ class FleetSupervisor:
             raise ValueError(f"backoff must be >= 1, got {backoff}")
         if backoff_cap < 1:
             raise ValueError(f"backoff_cap must be >= 1, got {backoff_cap}")
-        if retain < 1:
-            raise ValueError(f"retain must be >= 1, got {retain}")
+        super().__init__(
+            coordinator,
+            coordinator.recorder,
+            state_dir,
+            checkpoint_every=checkpoint_every,
+            retain=retain,
+            crash_plan=None if crash_at is None else CrashPlan(crash_at),
+        )
         self.coordinator = coordinator
         self.factory = factory
-        self.state_dir = None if state_dir is None else Path(state_dir)
-        self.checkpoint_every = checkpoint_every
         self.restart_after = restart_after
         self.restart_budget = restart_budget
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self.retain = retain
-        self.crash_at = crash_at
-        self.stores: list[CheckpointStore] | None = None
+        #: the root store holds the ``fleet-<cycle>.json`` boundaries
+        self.store = self.stores = None
         if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
+            self.store = CheckpointStore(self.state_dir, retain=retain)
             self.stores = [
                 CheckpointStore(self.state_dir / f"shard-{i}", retain=retain)
                 for i in range(len(coordinator.shards))
@@ -157,27 +159,6 @@ class FleetSupervisor:
         self._attempts: dict[int, int] = {}
         self._pending: dict[int, int] = {}
         self._deaths_seen = 0
-        self.driver = Driver(
-            coordinator,
-            checkpoint_every=checkpoint_every if self.stores is not None else None,
-            checkpoint=self._write_checkpoints,
-            crash_at=crash_at,
-            crash=self._crash,
-            after_step=[self._after_step],
-        )
-
-    @property
-    def cycle(self) -> int:
-        """The fleet's clock (delegates to the coordinator)."""
-        return self.coordinator._cycle
-
-    @property
-    def active(self) -> bool:
-        """True between :meth:`start` and the fleet's natural end."""
-        return self.coordinator._active
-
-    def _fleet_snapshot_path(self, cycle: int) -> Path:
-        return self.state_dir / f"fleet-{cycle:09d}.json"
 
     # -- entry points ----------------------------------------------------------
 
@@ -199,25 +180,12 @@ class FleetSupervisor:
         drain: bool = True,
         drain_limit: int = 1_000_000,
     ) -> None:
-        """Write the run manifest, start the fleet and open shard journals
-        (everything :meth:`serve` does short of driving the loop)."""
-        coord = self.coordinator
-        if self.state_dir is not None:
-            write_manifest(
-                self.state_dir,
-                max_cycles,
-                drain,
-                drain_limit,
-                shards=len(coord.shards),
-            )
-        coord.start(clients, max_cycles, drain=drain, drain_limit=drain_limit)
+        """Start the fleet with a fresh restart ladder (everything
+        :meth:`serve` does short of driving the loop)."""
         self._attempts = {}
         self._pending = {}
         self._deaths_seen = 0
-        self.driver.last_checkpoint = -1
-        if self.stores is not None:
-            for shard, engine in enumerate(coord.shards):
-                attach_journal(engine, self.stores[shard].create_journal())
+        super().start(clients, max_cycles, drain=drain, drain_limit=drain_limit)
 
     def recover(self, clients: list[Client]) -> FleetReport:
         """Resume a crashed fleet run from ``state_dir`` and drive it home.
@@ -232,40 +200,44 @@ class FleetSupervisor:
         and verify the re-executed suffix record-for-record, so recovery is
         deterministic or it is an error — never silently divergent.
         """
-        if self.state_dir is None:
-            raise DurabilityError("this supervisor has no state dir")
-        manifest = read_manifest(self.state_dir)
-        if int(manifest["shards"]) != len(self.coordinator.shards):
-            raise DurabilityError(
-                f"manifest covers {manifest['shards']} shards; this fleet "
-                f"has {len(self.coordinator.shards)}"
-            )
-        candidates = sorted(self.state_dir.glob("fleet-*.json"), reverse=True)
-        last_error: Exception | None = None
-        for path in candidates:
-            try:
-                payload = load_snapshot(path)
-                self._restore_fleet(payload, clients, manifest)
-            except (DurabilityError, ValueError, KeyError) as exc:
-                last_error = exc
-                continue  # torn/unassemblable boundary: fall back to older
-            break
-        else:
-            raise DurabilityError(
-                f"{self.state_dir} holds no recoverable fleet snapshot"
-                + (f" (last failure: {last_error})" if last_error else "")
-            )
-        rec = self.coordinator.recorder
-        if rec.enabled:
-            rec.event(
-                "restore",
-                cycle=self.coordinator._cycle,
-                snapshot=self.coordinator._cycle,
-                fleet=True,
-            )
-        return self._loop()
+        return self._recover(clients)
 
-    def _restore_fleet(self, payload: dict, clients, manifest: dict) -> None:
+    # -- the durable host's hooks ------------------------------------------------
+
+    def _live(self) -> list[tuple[ServeEngine, CheckpointStore]]:
+        coord = self.coordinator
+        pairs = zip(coord.shards, self.stores or ())
+        return [pair for shard, pair in enumerate(pairs) if coord._steppable(shard)]
+
+    def _manifest_fields(self) -> dict:
+        return {"shards": len(self.coordinator.shards)}
+
+    def _event_fields(self) -> dict:
+        return {"fleet": True}
+
+    def _write_checkpoints(self) -> None:
+        """Write one fleet boundary: a snapshot of every shard that can
+        still step, then ``fleet-<cycle>.json`` with the coordinator's and
+        the restart ladder's state."""
+        for engine, store in self._live():
+            store.write_snapshot(engine)
+        payload = {
+            "version": FLEET_SNAPSHOT_VERSION,
+            "fleet": self.coordinator.state_dict(),
+            "supervisor": {
+                "attempts": {str(s): n for s, n in self._attempts.items()},
+                "pending": {str(s): c for s, c in self._pending.items()},
+                "deaths_seen": self._deaths_seen,
+            },
+        }
+        save_snapshot(payload, self.store.snapshot_path(self.cycle, "fleet"))
+        self.store.prune("fleet")
+
+    def _boundaries(self) -> list[Path]:
+        return self.store.snapshot_paths("fleet")
+
+    def _restore(self, path: Path, clients, manifest: dict) -> int:
+        payload = load_snapshot(path)
         if payload.get("version") != FLEET_SNAPSHOT_VERSION:
             raise DurabilityError(
                 f"fleet snapshot version {payload.get('version')} unsupported"
@@ -288,18 +260,17 @@ class FleetSupervisor:
                     )
             chosen.append(snap)
         for shard, (state, snap) in enumerate(zip(health, chosen)):
-            engine = self._build_engine(shard)
-            feed = coord.feed(shard)
             if snap is not None:
-                engine.restore(snap, [feed])
+                engine = self._build_engine(shard)
+                engine.restore(snap, [coord.feed(shard)])
             else:
                 # a shard that died before its first checkpoint and whose
                 # death snapshot is gone: serve on with an empty history
-                engine.start(
-                    [feed],
+                engine = self._started_engine(
+                    shard,
                     manifest["max_cycles"],
-                    drain=manifest["drain"],
-                    drain_limit=manifest["drain_limit"],
+                    manifest["drain"],
+                    manifest["drain_limit"],
                 )
                 engine._active = False
             coord.shards[shard] = engine
@@ -315,61 +286,20 @@ class FleetSupervisor:
             int(s): int(c) for s, c in sup.get("pending", {}).items()
         }
         self._deaths_seen = int(sup.get("deaths_seen", len(coord._dead)))
-        self.driver.last_checkpoint = cycle
+        return cycle
 
-    # -- the supervised loop ---------------------------------------------------
+    def _restore_fallback(self, clients, manifest, failure):
+        raise DurabilityError(
+            f"{self.state_dir} holds no recoverable fleet snapshot"
+            + (f" (last failure: {failure})" if failure else "")
+        )
 
-    def step(self) -> bool:
-        """One supervised fleet cycle: checkpoint, step, note deaths, run
-        due restarts (all owned by the driver).  ``False`` once the fleet
-        is done."""
-        return self.driver.tick()
-
-    def _loop(self) -> FleetReport:
-        self.driver.loop()
-        return self.finish()
-
-    def finish(self) -> FleetReport:
-        """Verify shard journals drained, close them, fold the fleet report."""
-        coord = self.coordinator
-        for shard, engine in enumerate(coord.shards):
-            if engine.journal is None:
-                continue
-            if coord._steppable(shard):
-                engine.journal.require_replayed(f"shard {shard}'s journal")
-            engine.journal.close()
-        return coord.finish()
-
-    def _crash(self, coord: FleetCoordinator) -> None:
-        raise SimulatedCrash(f"fleet crash injected at cycle {coord._cycle}")
-
-    def _after_step(self, coord: FleetCoordinator) -> None:
+    def _after_step(self) -> None:
+        super()._after_step()
         self._note_deaths()
         self._run_due_restarts()
 
-    def _write_checkpoints(self, coord: FleetCoordinator) -> None:
-        cycle = coord._cycle
-        rec = coord.recorder
-        if rec.enabled:
-            rec.event("checkpoint", cycle=cycle, fleet=True)
-        for shard, engine in enumerate(coord.shards):
-            if coord._steppable(shard):
-                self.stores[shard].write_snapshot(engine)
-        self._write_fleet_snapshot(cycle)
-
-    def _write_fleet_snapshot(self, cycle: int) -> None:
-        payload = {
-            "version": FLEET_SNAPSHOT_VERSION,
-            "fleet": self.coordinator.state_dict(),
-            "supervisor": {
-                "attempts": {str(s): n for s, n in self._attempts.items()},
-                "pending": {str(s): c for s, c in self._pending.items()},
-                "deaths_seen": self._deaths_seen,
-            },
-        }
-        save_snapshot(payload, self._fleet_snapshot_path(cycle))
-        for stale in sorted(self.state_dir.glob("fleet-*.json"))[: -self.retain]:
-            stale.unlink()
+    # -- restarts ----------------------------------------------------------------
 
     def _note_deaths(self) -> None:
         """React to shards the last step declared dead: freeze their history
@@ -417,92 +347,66 @@ class FleetSupervisor:
             return self.factory(shard)
         return self.coordinator.shards[shard]
 
+    def _started_engine(
+        self, shard: int, max_cycles: int, drain: bool, drain_limit: int
+    ) -> ServeEngine:
+        engine = self._build_engine(shard)
+        engine.start(
+            [self.coordinator.feed(shard)],
+            max_cycles,
+            drain=drain,
+            drain_limit=drain_limit,
+        )
+        return engine
+
     def _restore_shard(self, shard: int) -> bool:
         """Walk the restore ladder; ``True`` iff the shard rejoined."""
         coord = self.coordinator
         coord.begin_restore(shard)
-        feed = coord.feed(shard)
         store = None if self.stores is None else self.stores[shard]
-        rec = coord.recorder
-        # rung 1: newest loadable checkpoint + journal tail
-        if store is not None:
+        rungs = ("checkpoint", "journal", "fresh") if store is not None else ("fresh",)
+        for how in rungs:
             try:
-                snapshot = store.latest_snapshot()
-                if snapshot is not None:
-                    engine = self._build_engine(shard)
-                    engine.restore(snapshot, [feed])
-                    attach_journal(engine, store.recover_journal())
-                    coord.rejoin(shard, engine, how="checkpoint")
-                    if rec.enabled:
-                        rec.event(
-                            "shard_restore",
-                            cycle=coord._cycle,
-                            shard=shard,
-                            how="checkpoint",
-                            snapshot=snapshot.cycle,
-                        )
-                    return True
+                engine, fields = self._rung(how, shard, store)
+                if engine is None:
+                    continue
+                coord.rejoin(shard, engine, how=how)
             except Exception:
-                pass  # ladder: fall through, never crash the fleet
-        # rung 2: journal-only — fresh engine, id continuity from the WAL
-        if store is not None:
-            try:
-                journal = store.recover_journal()
-                engine = self._build_engine(shard)
-                engine.start(
-                    [feed],
-                    coord._max_cycles,
-                    drain=coord._drain,
-                    drain_limit=coord._drain_limit,
-                )
-                admitted = [
-                    int(entry["request"])
-                    for entry in journal.records
-                    if entry.get("kind") == "admit"
-                    and entry.get("request") is not None
-                ]
-                if admitted:
-                    engine._next_id = max(engine._next_id, max(admitted) + 1)
-                attach_journal(engine, journal)
-                coord.rejoin(shard, engine, how="journal")
-                if rec.enabled:
-                    rec.event(
-                        "shard_restore",
-                        cycle=coord._cycle,
-                        shard=shard,
-                        how="journal",
-                    )
-                return True
-            except Exception:
-                pass
-        # rung 3: a blank shard
-        try:
-            engine = self._build_engine(shard)
-            engine.start(
-                [feed],
-                coord._max_cycles,
-                drain=coord._drain,
-                drain_limit=coord._drain_limit,
-            )
-            if store is not None:
-                attach_journal(engine, store.create_journal())
-            coord.rejoin(shard, engine, how="fresh")
-            if rec.enabled:
-                rec.event(
-                    "shard_restore", cycle=coord._cycle, shard=shard, how="fresh"
-                )
+                continue  # ladder: fall through, never crash the fleet
+            self._event("shard_restore", shard=shard, how=how, **fields)
             return True
-        except Exception:
-            # rung 4: stay dead — the fleet serves on without the shard
-            coord.abandon_restore(shard)
-            if rec.enabled:
-                rec.event(
-                    "shard_restore",
-                    cycle=coord._cycle,
-                    shard=shard,
-                    how="abandoned",
-                )
-            return False
+        # rung 4: stay dead — the fleet serves on without the shard
+        coord.abandon_restore(shard)
+        self._event("shard_restore", shard=shard, how="abandoned")
+        return False
+
+    def _rung(self, how: str, shard: int, store: CheckpointStore | None):
+        """The engine one rung (see the module docstring) restores, with its
+        ``shard_restore`` fields; ``(None, {})`` when there is no snapshot."""
+        coord = self.coordinator
+        if how == "checkpoint":
+            snapshot = store.latest_snapshot()
+            if snapshot is None:
+                return None, {}
+            engine = self._build_engine(shard)
+            engine.restore(snapshot, [coord.feed(shard)])
+            attach_journal(engine, store.recover_journal())
+            return engine, {"snapshot": snapshot.cycle}
+        engine = self._started_engine(
+            shard, coord._max_cycles, coord._drain, coord._drain_limit
+        )
+        if how == "journal":  # request-id continuity from the journal
+            journal = store.recover_journal()
+            admitted = [
+                int(entry["request"])
+                for entry in journal.records
+                if entry.get("kind") == "admit" and entry.get("request") is not None
+            ]
+            engine._next_id = max([engine._next_id, *(r + 1 for r in admitted)])
+            attach_journal(engine, journal)
+        elif store is not None:
+            attach_journal(engine, store.create_journal())
+        return engine, {}
 
 
 # -- fleet run equivalence -----------------------------------------------------

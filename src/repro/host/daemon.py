@@ -212,8 +212,9 @@ class ServeDaemon:
     ----------
     server:
         The durable server to pump (engine + clients + state dir).  The
-        daemon calls :meth:`~repro.serve.durability.DurableServer.begin_serve`
-        and then owns the loop via ``server.driver.tick()``.
+        daemon calls :meth:`~repro.serve.durability.DurableHost.start`,
+        owns the loop via ``server.driver.tick()`` and closes the run with
+        :meth:`~repro.serve.durability.DurableHost.finish`.
     feed:
         The :class:`SubmitFeed` among the server's clients (``/submit``).
     config / config_path:
@@ -221,7 +222,7 @@ class ServeDaemon:
         whenever ``/policy`` mutates a knob, so recovery rebuilds the
         mutated engine.
     max_cycles:
-        Arrival horizon handed to ``begin_serve`` (the daemon still exits
+        Arrival horizon handed to ``start`` (the daemon still exits
         earlier on SIGTERM).
     tick_interval / cycles_per_tick:
         The pacing knobs: pump ``cycles_per_tick`` engine cycles, then
@@ -283,8 +284,11 @@ class ServeDaemon:
         recorder = engine.system.recorder
         if recorder.enabled:
             recorder.attach(self.events_sink)
-        self.server.begin_serve(
-            self.max_cycles, drain=self.drain, drain_limit=self.drain_limit
+        self.server.start(
+            self.server.clients,
+            self.max_cycles,
+            drain=self.drain,
+            drain_limit=self.drain_limit,
         )
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -325,7 +329,7 @@ class ServeDaemon:
         return self.report
 
     def _close(self):
-        """Seal the run: final checkpoint (if still mid-run), journal close.
+        """Seal the run: final checkpoint (if still mid-run), then finish.
 
         The final checkpoint covers every journalled record, which is what
         makes the restart *rolling*: ``pmtree recover`` finds a snapshot at
@@ -333,15 +337,14 @@ class ServeDaemon:
         """
         engine = self.server.engine
         if engine.active:
-            self.server._write_checkpoint()
+            self.server.checkpoint()
             print(
                 f"daemon: shutdown checkpoint at cycle {engine.cycle}; "
                 f"resume with: pmtree recover --state-dir "
                 f"{self.server.state_dir}",
                 flush=True,
             )
-        report = engine.finish()
-        self.server.journal.close()
+        report = self.server.finish()
         self.events_sink.close()
         return report
 
@@ -500,7 +503,7 @@ class ServeDaemon:
             json.dumps(self.config, indent=2) + "\n"
         )
         if engine.active:
-            self.server._write_checkpoint()
+            self.server.checkpoint()
         return applied
 
     async def _stream_events(self, writer, query: str) -> None:

@@ -1,6 +1,6 @@
 """The shared run loop: one :class:`Driver` drives every steppable host.
 
-Before this layer existed, ``ServeEngine.run``, ``DurableServer._loop``,
+Before this layer existed, ``ServeEngine.run``, the durable server's loop,
 ``FleetCoordinator.run`` and ``FleetSupervisor.step`` each re-implemented
 the same "start → step until done → periodic checkpoint → finish"
 orchestration.  The :class:`Driver` owns that loop once:
@@ -15,23 +15,20 @@ orchestration.  The :class:`Driver` owns that loop once:
   fires the callable once the target's clock reaches the planned cycle
   (the callable raises — e.g.
   :class:`~repro.serve.durability.SimulatedCrash` — to kill the run).
-* **hooks** — ``before_step`` / ``after_step`` callables receive the target
-  each tick; after-step hooks are skipped on the final (``False``) step,
-  matching the historical ``break``-on-done loops byte for byte.
-* **tick pacing** — ``pace_s`` sleeps between ticks for wall-clock-paced
-  hosts.  The asyncio daemon paces with ``await`` instead and calls
-  :meth:`Driver.tick` directly.
+* **hooks** — ``after_step`` callables receive the target each tick; they
+  are skipped on the final (``False``) step, matching the historical
+  ``break``-on-done loops byte for byte.
 
 Order within one :meth:`tick`: crash check → checkpoint cadence →
-``before_step`` hooks → ``target.step()`` → ``after_step`` hooks → pace.
-This is exactly the order ``DurableServer._loop`` and
-``FleetSupervisor.step`` established, so delegating to the driver keeps
-existing runs — including crash-recovery equivalence — byte-identical.
+``target.step()`` → ``after_step`` hooks.  This is exactly the order the
+durable hosts (:class:`~repro.serve.durability.DurableHost`) established,
+so delegating to the driver keeps existing runs — including
+crash-recovery equivalence — byte-identical.  Wall-clock pacing belongs to
+the caller: the asyncio daemon awaits between :meth:`Driver.tick` calls.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable, Iterable
 
 __all__ = ["Driver"]
@@ -50,9 +47,7 @@ class Driver:
         checkpoint: Hook | None = None,
         crash_at: int | None = None,
         crash: Hook | None = None,
-        before_step: Iterable[Hook] = (),
         after_step: Iterable[Hook] = (),
-        pace_s: float = 0.0,
     ):
         if checkpoint_every is not None:
             if checkpoint_every < 1:
@@ -63,16 +58,12 @@ class Driver:
                 raise ValueError("checkpoint_every needs a checkpoint callable")
         if crash_at is not None and crash is None:
             raise ValueError("crash_at needs a crash callable")
-        if pace_s < 0:
-            raise ValueError(f"pace_s must be >= 0, got {pace_s}")
         self.target = target
         self.checkpoint_every = checkpoint_every
         self.checkpoint = checkpoint
         self.crash_at = crash_at
         self.crash = crash
-        self.before_step = list(before_step)
         self.after_step = list(after_step)
-        self.pace_s = pace_s
         #: cycle of the last checkpoint written (cadence state; recovery
         #: seeds it with the restored snapshot's cycle)
         self.last_checkpoint = -1
@@ -86,10 +77,10 @@ class Driver:
     def tick(self) -> bool:
         """Drive one cycle; ``False`` once the target is done.
 
-        A ``False`` tick runs the crash/checkpoint/before hooks (they gate
-        on ``target.active`` themselves where needed) but skips the
-        after-step hooks, exactly as the historical loops broke out before
-        their post-step work.
+        A ``False`` tick runs the crash and checkpoint gates (they check
+        ``target.active`` themselves) but skips the after-step hooks,
+        exactly as the historical loops broke out before their post-step
+        work.
         """
         target = self.target
         if (
@@ -106,15 +97,11 @@ class Driver:
         ):
             self.checkpoint(target)
             self.last_checkpoint = target.cycle
-        for hook in self.before_step:
-            hook(target)
         if not target.step():
             return False
         self.ticks += 1
         for hook in self.after_step:
             hook(target)
-        if self.pace_s:
-            time.sleep(self.pace_s)
         return True
 
     def loop(self) -> int:

@@ -22,7 +22,7 @@ conflicts under COLOR) turned into an online batching engine:
 * :mod:`repro.serve.durability` — crash consistency: versioned
   :class:`EngineSnapshot` checkpoints, an append-only
   :class:`ServeJournal` write-ahead log, and a crash harness
-  (:class:`CrashPlan` / :class:`DurableServer` /
+  (:class:`CrashPlan` / :class:`DurableHost` / :class:`DurableServer` /
   :func:`run_with_recovery`) that proves recovery is deterministic and
   exactly-once.
 
@@ -55,6 +55,7 @@ from repro.serve.durability import (
     CONTROL_EVENTS,
     CrashPlan,
     DurabilityError,
+    DurableHost,
     DurableServer,
     EngineSnapshot,
     JournalError,
@@ -67,7 +68,7 @@ from repro.serve.durability import (
     journal_accounting,
     run_with_recovery,
 )
-from repro.serve.engine import REPAIR_MODES, ServeEngine
+from repro.serve.engine import REPAIR_MODES, DrainError, ServeEngine
 from repro.serve.request import AdmissionQueue, Request, degrade_instance
 from repro.serve.slo import ServeReport, SLOTracker
 
@@ -81,7 +82,9 @@ __all__ = [
     "Client",
     "ClosedLoopClient",
     "CrashPlan",
+    "DrainError",
     "DurabilityError",
+    "DurableHost",
     "DurableServer",
     "EngineSnapshot",
     "FifoPolicy",

@@ -27,12 +27,14 @@ proves it with three pieces:
     serving a different history.  On reload a torn tail (the record being
     appended when the process died) is detected and truncated.
 
-:class:`CrashPlan` / :class:`DurableServer` / :func:`run_with_recovery`
-    the crash harness: a supervisor that checkpoints every ``N`` cycles,
-    kills the run at an arbitrary cycle — including mid-batch (any cycle
-    with a batch in flight) and mid-checkpoint (a torn snapshot at the
-    final path) — then restarts from the latest valid snapshot, replays
-    the journal in verify mode, and continues to the end.
+:class:`DurableHost` / :class:`CrashPlan` / :func:`run_with_recovery`
+    the crash harness: one durable run loop that checkpoints every ``N``
+    cycles, kills the run at an arbitrary cycle — including mid-batch (any
+    cycle with a batch in flight) and mid-checkpoint (a torn snapshot at
+    the final path) — then restarts from the newest boundary that
+    restores, replays the journal in verify mode, and continues to the
+    end.  :class:`DurableServer` hosts one engine;
+    :class:`~repro.fleet.supervisor.FleetSupervisor` hosts a fleet.
     :func:`assert_equivalent` then proves the recovered run's
     :class:`~repro.serve.slo.ServeReport` and obs event stream match an
     uninterrupted seeded run cycle-for-cycle, and
@@ -74,6 +76,7 @@ __all__ = [
     "CheckpointStore",
     "CrashPlan",
     "DurabilityError",
+    "DurableHost",
     "DurableServer",
     "EngineSnapshot",
     "JournalError",
@@ -117,11 +120,11 @@ class SimulatedCrash(RuntimeError):
 # -- instance / request serialization -----------------------------------------
 
 
-def _instance_to_json(instance: TemplateInstance) -> dict:
+def instance_to_json(instance: TemplateInstance) -> dict:
     if isinstance(instance, CompositeInstance):
         return {
             "kind": "composite",
-            "components": [_instance_to_json(c) for c in instance.components],
+            "components": [instance_to_json(c) for c in instance.components],
         }
     return {
         "kind": instance.kind,
@@ -130,10 +133,10 @@ def _instance_to_json(instance: TemplateInstance) -> dict:
     }
 
 
-def _instance_from_json(payload: dict) -> TemplateInstance:
+def instance_from_json(payload: dict) -> TemplateInstance:
     if payload["kind"] == "composite":
         return make_composite(
-            [_instance_from_json(c) for c in payload["components"]]
+            [instance_from_json(c) for c in payload["components"]]
         )
     return TemplateInstance(
         kind=payload["kind"],
@@ -142,12 +145,12 @@ def _instance_from_json(payload: dict) -> TemplateInstance:
     )
 
 
-def _request_to_json(request: Request) -> dict:
+def request_to_json(request: Request) -> dict:
     return {
         "id": request.request_id,
         "client": request.client_id,
         "tenant": request.tenant,
-        "instance": _instance_to_json(request.instance),
+        "instance": instance_to_json(request.instance),
         "arrival": request.arrival_cycle,
         "deadline": request.deadline,
         "admit": request.admit_cycle,
@@ -160,14 +163,14 @@ def _request_to_json(request: Request) -> dict:
     }
 
 
-def _request_from_json(payload: dict) -> Request:
+def request_from_json(payload: dict) -> Request:
     return Request(
         request_id=int(payload["id"]),
         client_id=int(payload["client"]),
         # snapshots from before multi-tenancy have no tenant: None makes the
         # rebuilt request default it from the client id, as the engine would
         tenant=payload.get("tenant"),
-        instance=_instance_from_json(payload["instance"]),
+        instance=instance_from_json(payload["instance"]),
         arrival_cycle=int(payload["arrival"]),
         deadline=None if payload["deadline"] is None else int(payload["deadline"]),
         admit_cycle=int(payload["admit"]),
@@ -178,14 +181,6 @@ def _request_from_json(payload: dict) -> Request:
         timeouts=int(payload["timeouts"]),
         retry_at=int(payload["retry_at"]),
     )
-
-
-# public aliases: the fleet layer (shard feeds, fleet snapshots) serializes
-# instances/requests with the exact scheme engine snapshots use
-instance_to_json = _instance_to_json
-instance_from_json = _instance_from_json
-request_to_json = _request_to_json
-request_from_json = _request_from_json
 
 
 # -- engine snapshot -----------------------------------------------------------
@@ -248,7 +243,7 @@ class EngineSnapshot:
             "failed_now": sorted(engine._failed_now),
             "repair_keys": [sorted(key) for key in engine._repair_cache],
             "requests": {
-                str(rid): _request_to_json(req) for rid, req in requests.items()
+                str(rid): request_to_json(req) for rid, req in requests.items()
             },
             "inflight": sorted(engine._requests),
             "queue": {
@@ -321,7 +316,7 @@ class EngineSnapshot:
                 f"snapshot's {sorted(snap_clients)}"
             )
         registry = {
-            int(rid): _request_from_json(payload)
+            int(rid): request_from_json(payload)
             for rid, payload in state["requests"].items()
         }
         engine._next_id = int(state["next_id"])
@@ -441,7 +436,7 @@ class ServeJournal:
         self._replay_upto = 0
         self._replay_from = 0
         #: wall-clock profiler for append+flush cost (``journal`` span);
-        #: :class:`DurableServer` wires the engine's profiler in here
+        #: :func:`attach_journal` wires the engine's profiler in here
         self.profiler = NULL_PROFILER
 
     @classmethod
@@ -552,13 +547,13 @@ class ServeJournal:
             self._fh.write(json.dumps({"crc": _record_crc(rec), "rec": rec}) + "\n")
             self._fh.flush()
 
-    def require_replayed(self, owner: str = "the journal") -> None:
+    def require_replayed(self) -> None:
         """Raise :class:`JournalError` if the run ended while journalled
         records were still waiting to be re-emitted."""
         if self.replaying:
             raise JournalError(
-                f"{owner} holds {self.replay_total} records past the end of "
-                f"the recovered run — the histories disagree"
+                f"{self.path} holds {self.replay_total} records past the end "
+                f"of the recovered run — the histories disagree"
             )
 
     def close(self) -> None:
@@ -602,12 +597,14 @@ class CrashPlan:
 class CheckpointStore:
     """One state directory's checkpoint + journal layout.
 
-    Owns the on-disk naming scheme (``journal.jsonl``, ``snap-<cycle>.json``),
-    snapshot writes with retention pruning, and the recovery-side selection
-    of the newest snapshot that still loads cleanly.
-    :class:`DurableServer` keeps one for its state dir; the fleet
+    Owns the on-disk naming scheme (``journal.jsonl``,
+    ``<prefix>-<cycle>.json`` with the ``snap`` prefix for engine
+    snapshots), snapshot writes with retention pruning, and the
+    recovery-side selection of the newest snapshot that still loads
+    cleanly.  :class:`DurableServer` keeps one for its state dir; the fleet
     supervisor (:class:`~repro.fleet.supervisor.FleetSupervisor`) gives
-    every shard its own under ``<state_dir>/shard-<i>/``.
+    every shard its own under ``<state_dir>/shard-<i>/`` and keeps its
+    ``fleet-<cycle>.json`` boundaries in one at the root.
     """
 
     def __init__(self, state_dir: str | Path, retain: int = 3):
@@ -621,8 +618,12 @@ class CheckpointStore:
     def journal_path(self) -> Path:
         return self.state_dir / "journal.jsonl"
 
-    def snapshot_path(self, cycle: int) -> Path:
-        return self.state_dir / f"snap-{cycle:09d}.json"
+    def snapshot_path(self, cycle: int, prefix: str = "snap") -> Path:
+        return self.state_dir / f"{prefix}-{cycle:09d}.json"
+
+    def snapshot_paths(self, prefix: str = "snap") -> list[Path]:
+        """This directory's ``<prefix>-<cycle>.json`` files, newest first."""
+        return sorted(self.state_dir.glob(f"{prefix}-*.json"), reverse=True)
 
     def create_journal(self) -> "ServeJournal":
         return ServeJournal.create(self.journal_path)
@@ -643,8 +644,8 @@ class CheckpointStore:
         self.prune()
         return snapshot
 
-    def prune(self) -> None:
-        for stale in sorted(self.state_dir.glob("snap-*.json"))[: -self.retain]:
+    def prune(self, prefix: str = "snap") -> None:
+        for stale in self.snapshot_paths(prefix)[self.retain :]:
             stale.unlink()
 
     def latest_snapshot(self, max_cycle: int | None = None) -> EngineSnapshot | None:
@@ -653,7 +654,7 @@ class CheckpointStore:
         ``max_cycle`` bounds the search: fleet recovery must not restore a
         shard *past* the fleet-checkpoint cycle it is rejoining.
         """
-        for path in sorted(self.state_dir.glob("snap-*.json"), reverse=True):
+        for path in self.snapshot_paths():
             try:
                 snapshot = EngineSnapshot.from_json(load_snapshot(path))
             except (ValueError, KeyError):
@@ -708,18 +709,217 @@ def read_manifest(state_dir: Path) -> dict:
     }
 
 
-class DurableServer:
-    """Supervises a serving run with periodic checkpoints and a WAL.
+class DurableHost:
+    """One durable run loop over a :class:`~repro.host.steppable.Steppable`.
+
+    The host owns what durability needs whatever the target is: the
+    ``run.json`` manifest, journal attach at :meth:`start` and the replay
+    check plus close at :meth:`finish`, the checkpoint cadence and its
+    wall-clock cost, the control events, the :class:`CrashPlan` and its
+    three modes, and recovery's "newest boundary that restores, else fall
+    back" loop.  A subclass supplies the rest: :meth:`_live` (the live
+    ``(engine, store)`` pairs), :meth:`_write_checkpoints` (one boundary's
+    files), :meth:`_boundaries` (recovery's candidates, newest first),
+    :meth:`_restore` (restore one; returns its cycle),
+    :meth:`_restore_fallback` (none restored), and the extra manifest and
+    event fields.  Checkpoints happen between steps, so they cost wall
+    time (:attr:`checkpoint_overhead`), never simulated cycles.
+    """
+
+    #: the :class:`SimulatedCrash` message, formatted with cycle and mode
+    crash_message = "simulated crash at cycle {cycle} ({mode})"
+
+    def __init__(
+        self, target, recorder, state_dir, *, checkpoint_every, retain, crash_plan
+    ):
+        if checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
+        if retain < 1:
+            raise ValueError(f"retain must be >= 1, got {retain}")
+        self.target = target
+        self.recorder = recorder
+        self.state_dir = None if state_dir is None else Path(state_dir)
+        self.retain = retain
+        self.crash_plan = crash_plan
+        self.checkpoint_seconds = 0.0
+        self.run_seconds = 0.0
+        self.checkpoints_written = 0
+        self.replayed_records = 0
+        self._replaying: list[ServeJournal] = []
+        # the driver reaches back through a weak proxy: a strong reference
+        # would close a host -> driver -> callback -> host cycle, and a
+        # dropped host (with its whole journal) would then live until the
+        # next full garbage collection
+        host = weakref.proxy(self)
+        self.driver = Driver(
+            target,
+            checkpoint_every=None if self.state_dir is None else checkpoint_every,
+            checkpoint=lambda target: host.checkpoint(),
+            crash_at=None if crash_plan is None else crash_plan.at_cycle,
+            crash=lambda target: host._crash(),
+            after_step=[lambda target: host._after_step()],
+        )
+
+    @property
+    def cycle(self) -> int:
+        """The target's clock."""
+        return self.target.cycle
+
+    @property
+    def active(self) -> bool:
+        """True between :meth:`start` and the run's natural end."""
+        return self.target.active
+
+    @property
+    def checkpoint_overhead(self) -> float:
+        """Wall-clock fraction the run spent writing checkpoints."""
+        return (
+            self.checkpoint_seconds / self.run_seconds if self.run_seconds else 0.0
+        )
+
+    def _manifest_fields(self) -> dict:
+        """Fields ``run.json`` records beyond the loop arguments."""
+        return {}
+
+    def _journals(self) -> list[ServeJournal]:
+        return [e.journal for e, _ in self._live() if e.journal is not None]
+
+    def _event(self, kind: str, **fields) -> None:
+        if self.recorder.enabled:
+            self.recorder.event(kind, cycle=self.target.cycle, **fields)
+
+    # -- the run ---------------------------------------------------------------
+
+    def start(
+        self,
+        clients: list[Client],
+        max_cycles: int,
+        drain: bool = True,
+        drain_limit: int = 1_000_000,
+    ) -> None:
+        """Arm a fresh run without driving it: write the run manifest, start
+        the target and give every live engine a fresh journal.  Drive it
+        with :meth:`step` (the daemon pumps ``driver.tick()`` itself) and
+        close it with :meth:`finish`."""
+        if self.state_dir is not None:
+            extra = self._manifest_fields()
+            write_manifest(self.state_dir, max_cycles, drain, drain_limit, **extra)
+        self.target.start(clients, max_cycles, drain=drain, drain_limit=drain_limit)
+        self.driver.last_checkpoint = -1
+        for engine, store in self._live():
+            attach_journal(engine, store.create_journal())
+
+    def step(self) -> bool:
+        """One durable cycle: crash check, checkpoint cadence, the target's
+        step, after-step hooks.  ``False`` once the run is done."""
+        return self.driver.tick()
+
+    def finish(self):
+        """Check that no live journal holds records the run did not
+        re-emit, close the journals and close the run out."""
+        try:
+            for journal in self._journals():
+                journal.require_replayed()
+            return self.target.finish()
+        finally:
+            for journal in self._journals():
+                journal.close()
+
+    def _loop(self):
+        """Drive the run to its end and :meth:`finish` it, timed into
+        :attr:`run_seconds`."""
+        self._replaying = [j for j in self._journals() if j.replaying]
+        started = time.perf_counter()
+        try:
+            self.driver.loop()
+            return self.finish()
+        finally:
+            self.run_seconds += time.perf_counter() - started
+            for journal in self._journals():
+                journal.close()  # already closed unless the run crashed
+
+    def _after_step(self) -> None:
+        """On the step where recovery's journal replay completes, record
+        :attr:`replayed_records` and emit the one ``journal_replay`` event."""
+        if self._replaying and not any(j.replaying for j in self._replaying):
+            self.replayed_records = sum(j.replay_total for j in self._replaying)
+            self._replaying = []
+            self._event("journal_replay", records=self.replayed_records)
+
+    # -- checkpoints and crashes -------------------------------------------------
+
+    def checkpoint(self) -> None:
+        """Write one boundary now (the driver calls this on its cadence).
+
+        The ``checkpoint`` event goes out before the capture, so the
+        snapshot itself remembers that a checkpoint happened here (WAL
+        convention: log, then act).
+        """
+        cycle = self.target.cycle
+        self._event("checkpoint", **self._event_fields())
+        started = time.perf_counter()
+        self._write_checkpoints()
+        self.checkpoint_seconds += time.perf_counter() - started
+        self.checkpoints_written += 1
+        self.driver.last_checkpoint = cycle
+
+    def _crash(self) -> None:
+        plan = self.crash_plan
+        for engine, store in self._live():
+            if plan.mode == "mid_checkpoint":
+                # a torn snapshot at the final path, as if the writer died
+                # mid-write with no atomic-rename protection
+                path = save_snapshot(
+                    engine.checkpoint().to_json(), store.snapshot_path(engine.cycle)
+                )
+                path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            elif plan.mode == "torn_journal":
+                # a partial record at the journal tail (no trailing newline)
+                engine.journal._fh.write('{"crc": 1234567, "rec": {"seq": ')
+                engine.journal._fh.flush()
+        raise SimulatedCrash(
+            self.crash_message.format(cycle=self.target.cycle, mode=plan.mode)
+        )
+
+    # -- recovery ----------------------------------------------------------------
+
+    def _recover(self, clients: list[Client]):
+        """Restore the newest boundary that restores (else fall back), then
+        drive the run to its end with every journal verifying the replay."""
+        if self.state_dir is None:
+            raise DurabilityError(f"this {type(self).__name__} has no state dir")
+        manifest = read_manifest(self.state_dir)
+        for key, value in self._manifest_fields().items():
+            if manifest.get(key) != value:
+                raise DurabilityError(
+                    f"the run manifest records {key}={manifest.get(key)}; "
+                    f"this run has {value}"
+                )
+        failure = None
+        for boundary in self._boundaries():
+            try:
+                restored = self._restore(boundary, clients, manifest)
+                break
+            except (DurabilityError, ValueError, KeyError) as exc:
+                failure = exc  # torn or unassemblable: try an older boundary
+        else:
+            restored = self._restore_fallback(clients, manifest, failure)
+        if restored is not None:
+            self.driver.last_checkpoint = restored
+        self._event("restore", snapshot=restored, **self._event_fields())
+        return self._loop()
+
+
+class DurableServer(DurableHost):
+    """A durable serving run: one engine, one state dir.
 
     ``state_dir`` accumulates ``run.json`` (the run's arguments),
     ``journal.jsonl`` and ``snap-<cycle>.json`` files (``retain`` newest
     kept).  :meth:`serve` starts a fresh run; after a crash, build a *new*
     engine + clients with the same configuration and call :meth:`recover`
-    on a new supervisor over the same ``state_dir``.
-
-    Checkpoints cost zero simulated cycles — they happen between engine
-    steps — so their overhead is wall-clock only, tracked in
-    :attr:`checkpoint_seconds` against :attr:`run_seconds`.
+    on a new server over the same ``state_dir``.
     """
 
     def __init__(
@@ -731,81 +931,29 @@ class DurableServer:
         crash_plan: CrashPlan | None = None,
         retain: int = 3,
     ):
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
+        super().__init__(
+            engine,
+            engine.system.recorder,
+            state_dir,
+            checkpoint_every=checkpoint_every,
+            retain=retain,
+            crash_plan=crash_plan,
+        )
         self.engine = engine
         self.clients = list(clients)
-        self.store = CheckpointStore(state_dir, retain=retain)
-        self.state_dir = self.store.state_dir
-        self.checkpoint_every = checkpoint_every
-        self.crash_plan = crash_plan
-        self.retain = retain
-        self.journal: ServeJournal | None = None
-        self.checkpoint_seconds = 0.0
-        self.run_seconds = 0.0
-        self.checkpoints_written = 0
-        self.replayed_records = 0
-        # the driver reaches back through a weak proxy: a strong reference
-        # would close a server -> driver -> callback -> server cycle, and a
-        # dropped server (with its whole journal) would then live until the
-        # next full garbage collection
-        server = weakref.proxy(self)
-        self.driver = Driver(
-            engine,
-            checkpoint_every=checkpoint_every,
-            checkpoint=lambda target: server._write_checkpoint(),
-            crash_at=crash_plan.at_cycle if crash_plan is not None else None,
-            crash=(lambda target: server._crash(server.crash_plan))
-            if crash_plan is not None
-            else None,
-        )
+        self.store = CheckpointStore(self.state_dir, retain=retain)
 
     @property
-    def journal_path(self) -> Path:
-        return self.store.journal_path
-
-    def _snapshot_path(self, cycle: int) -> Path:
-        return self.store.snapshot_path(cycle)
-
-    @property
-    def checkpoint_overhead(self) -> float:
-        """Wall-clock fraction the run spent writing checkpoints."""
-        return (
-            self.checkpoint_seconds / self.run_seconds if self.run_seconds else 0.0
-        )
-
-    # -- entry points ----------------------------------------------------------
+    def journal(self) -> ServeJournal | None:
+        """The engine's write-ahead journal (``None`` before a run starts)."""
+        return self.engine.journal
 
     def serve(
-        self,
-        max_cycles: int,
-        drain: bool = True,
-        drain_limit: int = 1_000_000,
+        self, max_cycles: int, drain: bool = True, drain_limit: int = 1_000_000
     ) -> ServeReport:
         """Run from cycle 0 with checkpoints + journal in ``state_dir``."""
-        self.begin_serve(max_cycles, drain=drain, drain_limit=drain_limit)
+        self.start(self.clients, max_cycles, drain=drain, drain_limit=drain_limit)
         return self._loop()
-
-    def begin_serve(
-        self,
-        max_cycles: int,
-        drain: bool = True,
-        drain_limit: int = 1_000_000,
-    ) -> None:
-        """Arm a fresh durable run without driving it.
-
-        Writes the run manifest, creates the journal and starts the engine;
-        the caller then owns the loop — :meth:`serve` drives it to the end
-        via :meth:`_loop`, while the daemon (:mod:`repro.host.daemon`) pumps
-        ``self.driver.tick()`` from asyncio one boundary at a time.
-        """
-        write_manifest(self.state_dir, max_cycles, drain, drain_limit)
-        self.journal = attach_journal(self.engine, self.store.create_journal())
-        self.engine.start(
-            self.clients, max_cycles, drain=drain, drain_limit=drain_limit
-        )
 
     def recover(self) -> ServeReport:
         """Resume a crashed run from ``state_dir`` and drive it to the end.
@@ -816,118 +964,37 @@ class DurableServer:
         passed, then continue appending.  With no usable snapshot the run
         re-executes from cycle 0 (cold start) under the same verification.
         """
-        manifest = read_manifest(self.state_dir)
-        engine = self.engine
-        self.journal = attach_journal(engine, self.store.recover_journal())
-        snapshot = self._latest_snapshot()
-        if snapshot is None:
-            self.journal.seek_replay(0)
-            engine.start(
-                self.clients,
-                manifest["max_cycles"],
-                drain=manifest["drain"],
-                drain_limit=manifest["drain_limit"],
-            )
-            restored_from = None
-        else:
-            engine.restore(snapshot, self.clients)
-            self.journal.seek_replay(snapshot.seqno)
-            self.driver.last_checkpoint = snapshot.cycle
-            restored_from = snapshot.cycle
-        rec = engine.system.recorder
-        if rec.enabled:
-            rec.event(
-                "restore",
-                cycle=engine._cycle,
-                snapshot=restored_from,
-                seqno=self.journal.position,
-            )
-        return self._loop()
+        return self._recover(self.clients)
 
-    def _latest_snapshot(self) -> EngineSnapshot | None:
-        """Newest snapshot that loads and checksums cleanly, else ``None``."""
-        return self.store.latest_snapshot()
+    def _live(self) -> list[tuple[ServeEngine, CheckpointStore]]:
+        return [(self.engine, self.store)]
 
-    # -- the supervised loop ---------------------------------------------------
+    def _event_fields(self) -> dict:
+        return {"seqno": self.journal.position}
 
-    def _replay_watch(self):
-        """After-step hook that notices the journal leaving replay mode.
+    def _write_checkpoints(self) -> None:
+        self.store.write_snapshot(self.engine)
 
-        Fresh per :meth:`_loop` call: it latches whether the journal was
-        replaying when the loop began, and on the step where replay
-        completes records ``replayed_records`` and emits the one-time
-        ``journal_replay`` event.
-        """
-        journal = self.journal
-        state = {"pending": journal.replaying}
-        server = weakref.proxy(self)  # the driver holds the hook; see __init__
+    def _boundaries(self) -> list[EngineSnapshot]:
+        # the journal reopens first: every way back verifies against it
+        attach_journal(self.engine, self.store.recover_journal())
+        snapshot = self.store.latest_snapshot()
+        return [] if snapshot is None else [snapshot]
 
-        def watch(engine) -> None:
-            if state["pending"] and not journal.replaying:
-                state["pending"] = False
-                server.replayed_records = journal.replay_total
-                rec = engine.system.recorder
-                if rec.enabled:
-                    rec.event(
-                        "journal_replay",
-                        cycle=engine._cycle,
-                        records=journal.replay_total,
-                    )
+    def _restore(self, snapshot: EngineSnapshot, clients, manifest) -> int:
+        self.engine.restore(snapshot, clients)
+        self.journal.seek_replay(snapshot.seqno)
+        return snapshot.cycle
 
-        return watch
-
-    def _loop(self) -> ServeReport:
-        engine = self.engine
-        journal = self.journal
-        driver = self.driver
-        driver.after_step = [self._replay_watch()]
-        started = time.perf_counter()
-        try:
-            driver.loop()
-            journal.require_replayed()
-            return engine.finish()
-        finally:
-            self.run_seconds += time.perf_counter() - started
-            journal.close()
-
-    def _write_checkpoint(self) -> None:
-        engine = self.engine
-        rec = engine.system.recorder
-        if rec.enabled:
-            # emitted before capture, so the snapshot itself remembers that
-            # a checkpoint happened here (WAL convention: log, then act)
-            rec.event(
-                "checkpoint", cycle=engine._cycle, seqno=self.journal.position
-            )
-        started = time.perf_counter()
-        self.store.write_snapshot(engine)
-        self.checkpoint_seconds += time.perf_counter() - started
-        self.checkpoints_written += 1
-        self.driver.last_checkpoint = engine._cycle
-
-    def _crash(self, plan: CrashPlan) -> None:
-        engine = self.engine
-        if plan.mode == "mid_checkpoint":
-            # a torn snapshot at the final path, as if the writer died
-            # mid-write with no atomic-rename protection
-            snapshot = engine.checkpoint()
-            doc = json.dumps(
-                {
-                    "format_version": 1,
-                    "type": "engine_snapshot",
-                    "crc": 0,
-                    "payload": snapshot.to_json(),
-                }
-            )
-            self._snapshot_path(engine._cycle).write_text(
-                doc[: max(1, len(doc) // 2)]
-            )
-        elif plan.mode == "torn_journal":
-            # a partial record at the journal tail (no trailing newline)
-            self.journal._fh.write('{"crc": 1234567, "rec": {"seq": ')
-            self.journal._fh.flush()
-        raise SimulatedCrash(
-            f"simulated crash at cycle {engine._cycle} ({plan.mode})"
+    def _restore_fallback(self, clients, manifest, failure) -> None:
+        if failure is not None:
+            raise failure  # the snapshot loads but does not fit this engine
+        self.journal.seek_replay(0)
+        self.engine.start(
+            clients,
+            manifest["max_cycles"],
+            drain=manifest["drain"],
+            drain_limit=manifest["drain_limit"],
         )
 
 
@@ -958,30 +1025,21 @@ def run_with_recovery(
     plays the role of restarting the process.  Returns the final report
     (recovered, if a crash fired) plus the supervisor that produced it.
     """
-    engine, clients = factory()
-    server = DurableServer(
-        engine,
-        clients,
-        state_dir,
-        checkpoint_every=checkpoint_every,
-        crash_plan=crash_plan,
-        retain=retain,
-    )
+
+    def server(plan: CrashPlan | None) -> DurableServer:
+        engine, clients = factory()
+        return DurableServer(
+            engine, clients, state_dir, checkpoint_every, plan, retain=retain
+        )
+
+    first = server(crash_plan)
     try:
-        report = server.serve(max_cycles, drain=drain, drain_limit=drain_limit)
-        return RecoveryResult(report=report, crashed=False, server=server)
+        report = first.serve(max_cycles, drain=drain, drain_limit=drain_limit)
+        return RecoveryResult(report=report, crashed=False, server=first)
     except SimulatedCrash:
         pass
-    engine, clients = factory()
-    server = DurableServer(
-        engine,
-        clients,
-        state_dir,
-        checkpoint_every=checkpoint_every,
-        retain=retain,
-    )
-    report = server.recover()
-    return RecoveryResult(report=report, crashed=True, server=server)
+    second = server(None)
+    return RecoveryResult(report=second.recover(), crashed=True, server=second)
 
 
 # -- equivalence + exactly-once accounting -------------------------------------

@@ -54,9 +54,14 @@ from repro.serve.clients import Client
 from repro.serve.request import AdmissionQueue, Request, degrade_instance
 from repro.serve.slo import ServeReport, SLOTracker
 
-__all__ = ["REPAIR_MODES", "ServeEngine"]
+__all__ = ["REPAIR_MODES", "DrainError", "ServeEngine"]
 
 REPAIR_MODES = ("none", "oblivious", "color")
+
+
+class DrainError(RuntimeError):
+    """A draining run cannot finish: it hit its drain limit, or the work it
+    still holds can never complete."""
 
 
 class ServeEngine:
@@ -248,6 +253,36 @@ class ServeEngine:
                 modules=sorted(failed),
                 moved=moved,
             )
+
+    def _check_drainable(self, cycle: int) -> None:
+        """Raise :class:`DrainError` once the in-flight batch can never retire.
+
+        That holds when no retry timeout can abort it, no completion is
+        pending, every item it still needs sits queued on a failed module,
+        and no later fault-schedule edge can bring one of those modules
+        back.  Nothing then changes but the clock, and the batch holds the
+        array, so nothing queued behind it dispatches either.
+        """
+        if (
+            self._current_batch is None
+            or self.retry_timeout is not None
+            or self._completions
+            or not self._remaining
+            or not self._failed_now
+        ):
+            return
+        modules = self.system.modules
+        if any(mod.queue and not mod.failed for mod in modules):
+            return
+        if self.system._faults_pending_after(cycle):
+            return
+        blocked = [mod.module_id for mod in modules if mod.queue]
+        held = len(self._requests) + len(self.queue.pending) + len(self.queue.waiting)
+        raise DrainError(
+            f"serving can never drain: {held} requests wait behind failed "
+            f"modules {blocked}, which no later fault edge repairs, and no "
+            f"retry timeout aborts the batch holding them"
+        )
 
     # -- dispatch / service internals -----------------------------------------
 
@@ -530,12 +565,14 @@ class ServeEngine:
             self._active = False
             return False
         if cycle > self._max_cycles + self._drain_limit:
-            raise RuntimeError(
+            raise DrainError(
                 f"serving did not drain within {self._drain_limit} cycles after "
                 f"arrivals stopped (queue={self.queue!r})"
             )
         # 0. fault-schedule edges + repair remapping + availability sample
         self._advance_faults(cycle)
+        if not arriving:
+            self._check_drainable(cycle)
         tracker.on_cycle(len(self._failed_now), system.num_modules)
         # 1. retire completions due now; free the array when its batch ends
         with self._sp_retire:

@@ -249,6 +249,14 @@ class TestFaultInjection:
         assert code == 0
         assert "availability 0." in capsys.readouterr().out
 
+    def test_serve_that_can_never_drain_exits_with_one_line(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--cycles", "300", "--traffic", "bursty",
+                  "--faults", "slow=3:2,failed=5"])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith("serving can never drain")
+
 
 class TestPerfCommands:
     @pytest.fixture(scope="class")

@@ -1,7 +1,9 @@
 """FleetSupervisor: per-shard durability, restart/rejoin, the restore
 ladder, and deterministic whole-fleet crash recovery."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -363,6 +365,27 @@ def test_recover_falls_back_past_a_torn_fleet_snapshot(tmp_path):
     control_coord, _ = make_fleet(2, faults=False)
     control = FleetSupervisor(control_coord).serve(population().clients, 200)
     assert diff_fleet_reports(control, report) == []
+
+
+def test_dropped_supervisor_is_freed_by_refcount(tmp_path):
+    """No reference cycle pins a finished supervisor, its shards and their
+    journals until the next full garbage collection."""
+    coordinator, factory = make_fleet(2, kills=["1@80"])
+    gc.disable()
+    try:
+        supervisor = FleetSupervisor(
+            coordinator,
+            factory=factory,
+            state_dir=tmp_path / "state",
+            checkpoint_every=40,
+            restart_after=30,
+        )
+        supervisor.serve(population().clients, 200)
+        dropped = weakref.ref(supervisor)
+        del supervisor
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 # -- router rebalance + state --------------------------------------------------

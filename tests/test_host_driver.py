@@ -52,7 +52,6 @@ def test_scripted_target_satisfies_protocol():
         {"checkpoint_every": 0, "checkpoint": lambda t: None},
         {"checkpoint_every": 5},  # cadence without a callable
         {"crash_at": 3},  # crash cycle without a callable
-        {"pace_s": -0.1},
     ],
 )
 def test_driver_rejects_bad_parameters(kwargs):
@@ -130,22 +129,11 @@ def test_crash_gate_fires_at_cycle():
 def test_hooks_order_and_final_step_skips_after_hooks():
     target = ScriptedTarget(2)
     calls = []
-    driver = Driver(
-        target,
-        before_step=[lambda t: calls.append(("before", t.cycle))],
-        after_step=[lambda t: calls.append(("after", t.cycle))],
-    )
+    driver = Driver(target, after_step=[lambda t: calls.append(("after", t.cycle))])
     driver.start([], 2)
     driver.loop()
-    # before hooks see the pre-step cycle; after hooks see the post-step one;
-    # the final False step runs its before hook but no after hook
-    assert calls == [
-        ("before", 0),
-        ("after", 1),
-        ("before", 1),
-        ("after", 2),
-        ("before", 2),
-    ]
+    # after hooks see the post-step cycle; the final False step runs none
+    assert calls == [("after", 1), ("after", 2)]
 
 
 def test_checkpoint_lands_before_the_step_it_covers():

@@ -4,10 +4,12 @@ fault-aware batch policies."""
 import numpy as np
 import pytest
 
+from repro import spec
 from repro.core import ColorMapping
 from repro.memory import FaultSchedule, ParallelMemorySystem
 from repro.obs import EventRecorder
 from repro.serve import (
+    DrainError,
     GreedyPackPolicy,
     PoissonClient,
     Request,
@@ -106,6 +108,24 @@ class TestRetryLadder:
         assert report.completed == 0
         sheds = [e for e in rec.events if e["ev"] == "serve_shed"]
         assert sheds and sheds[0]["reason"] == "timeout"
+
+    def test_run_that_can_never_drain_fails_at_once(self):
+        """A module failed for good, no repair and no retry timeout: the
+        batch queued on it can never retire, so the run fails as soon as
+        arrivals stop instead of spinning out its drain limit."""
+        config = {"traffic": "bursty", "faults": "slow=3:2,failed=5", "cycles": 300}
+        engine, clients, _ = spec.serve(config)
+        with pytest.raises(DrainError, match=r"can never drain: \d+ requests .*\[5\]"):
+            engine.run(clients, max_cycles=300)
+        assert engine.cycle == 300
+
+    def test_failure_that_ends_after_arrivals_still_drains(self):
+        """A later fault edge repairs the module, so the check stays quiet."""
+        config = {"traffic": "bursty", "faults": "fail=5@0:400", "cycles": 300}
+        engine, clients, _ = spec.serve(config)
+        report = engine.run(clients, max_cycles=300)
+        assert report.completed + report.shed == report.arrivals
+        assert report.cycles > 400
 
     def test_availability_accounts_failed_cycles(self, mapping, mix):
         report = _run(

@@ -6,7 +6,9 @@ kills, restarts, checkpoint cadence, crash cycle and crash mode), and for
 each one:
 
 * a run crashed at the drawn cycle and recovered from its state dir reports
-  exactly what the uninterrupted run reports;
+  exactly what the uninterrupted run reports, also when the recovery itself
+  crashes (at a second drawn cycle, which may fall while it is still
+  replaying the journal) and is recovered again;
 * every arrival is accounted for once: ``completed + shed == arrivals`` for
   a serve run, ``completed + quota_shed + shard_shed + fleet_shed ==
   arrivals`` for a fleet.
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import spec
 from repro.fleet import FleetSupervisor, diff_fleet_reports
-from repro.serve import CrashPlan, diff_reports, run_with_recovery
+from repro.serve import CrashPlan, DurableServer, diff_reports
 from repro.serve.durability import CRASH_MODES, SimulatedCrash
 
 SETTINGS = settings(
@@ -110,31 +112,37 @@ def fleet_specs(draw):
     }
 
 
+def crash_plans(at_cycles):
+    return st.builds(CrashPlan, at_cycle=at_cycles, mode=st.sampled_from(CRASH_MODES))
+
+
 @SETTINGS
 @given(config=serve_specs(), data=st.data())
 def test_serve_crash_recovery_equals_uninterrupted(config, data):
-    crash = CrashPlan(
-        at_cycle=data.draw(st.integers(1, config["cycles"] - 1)),
-        mode=data.draw(st.sampled_from(CRASH_MODES)),
-    )
+    first = data.draw(crash_plans(st.integers(1, config["cycles"] - 1)))
+    second = data.draw(st.none() | crash_plans(st.integers(1, first.at_cycle + 20)))
     engine, clients, _ = spec.serve(config)
     uninterrupted = engine.run(clients, max_cycles=config["cycles"])
 
-    def factory():
-        engine, clients, _ = spec.serve(config)
-        return engine, clients
-
     with tempfile.TemporaryDirectory() as state_dir:
-        outcome = run_with_recovery(
-            factory,
-            state_dir,
-            config["cycles"],
-            checkpoint_every=config["checkpoint_every"],
-            crash_plan=crash,
-        )
-    assert outcome.crashed
-    assert diff_reports(uninterrupted, outcome.report) == []
-    report = outcome.report
+
+        def server(crash_plan):
+            engine, clients, _ = spec.serve(config)
+            return DurableServer(
+                engine,
+                clients,
+                state_dir,
+                checkpoint_every=config["checkpoint_every"],
+                crash_plan=crash_plan,
+            )
+
+        with pytest.raises(SimulatedCrash):
+            server(first).serve(config["cycles"])
+        try:
+            report = server(second).recover()
+        except SimulatedCrash:
+            report = server(None).recover()
+    assert diff_reports(uninterrupted, report) == []
     assert report.completed + report.shed == report.arrivals
 
 
@@ -155,6 +163,7 @@ def _supervised(config, state_dir, crash_at=None):
 @given(config=fleet_specs(), data=st.data())
 def test_fleet_crash_recovery_equals_uninterrupted(config, data):
     crash_at = data.draw(st.integers(1, config["cycles"] - 1))
+    second = data.draw(st.none() | st.integers(1, crash_at + 20))
     with tempfile.TemporaryDirectory() as tmp:
         supervisor, clients = _supervised(config, Path(tmp) / "control")
         uninterrupted = supervisor.serve(clients, config["cycles"])
@@ -162,8 +171,12 @@ def test_fleet_crash_recovery_equals_uninterrupted(config, data):
         supervisor, clients = _supervised(config, crashed, crash_at=crash_at)
         with pytest.raises(SimulatedCrash):
             supervisor.serve(clients, config["cycles"])
-        supervisor, clients = _supervised(config, crashed)
-        recovered = supervisor.recover(clients)
+        supervisor, clients = _supervised(config, crashed, crash_at=second)
+        try:
+            recovered = supervisor.recover(clients)
+        except SimulatedCrash:
+            supervisor, clients = _supervised(config, crashed)
+            recovered = supervisor.recover(clients)
     assert diff_fleet_reports(uninterrupted, recovered) == []
     shed = recovered.quota_shed + recovered.shard_shed + recovered.fleet_shed
     assert recovered.completed + shed == recovered.arrivals
