@@ -6,7 +6,7 @@ shards killed mid-run and budgeted restarts enabled, every shard rejoins
 ``completed + quota_shed + shard_shed + fleet_shed == arrivals`` survives
 every kill/restart cycle — reconciliation against the failover ledger
 means nothing executes twice.  Second, two identical supervised runs are
-byte-identical (``diff_fleet_reports`` empty).  Third, crashing the whole
+byte-identical (``diff_reports`` empty).  Third, crashing the whole
 fleet mid-run and recovering from the newest fleet checkpoint reproduces
 the uninterrupted control exactly — per-shard journals verify the
 re-executed suffix record-for-record.  Fourth, restart-enabled goodput
@@ -18,7 +18,8 @@ all four and times the supervised step loop against plain failover.
 import pytest
 
 from repro import spec
-from repro.fleet import FleetSupervisor, diff_fleet_reports
+from repro.fleet import FleetSupervisor
+from repro.serve import diff_reports
 from repro.serve.durability import SimulatedCrash
 
 CYCLES = 450
@@ -89,7 +90,7 @@ def test_e22_crash_recovery_matches_control(tmp_path):
         supervisor.serve(clients, CYCLES)
     supervisor, clients = _supervised(tmp_path / "crashed")
     recovered = supervisor.recover(clients)
-    assert diff_fleet_reports(control, recovered) == []
+    assert diff_reports(control, recovered) == []
 
 
 def test_e22_restarts_strictly_beat_failover(tmp_path):

@@ -1188,7 +1188,8 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
     from pathlib import Path
 
     from repro import spec
-    from repro.fleet import FleetSupervisor, diff_fleet_reports
+    from repro.fleet import FleetSupervisor
+    from repro.serve import diff_reports
     from repro.serve.durability import SimulatedCrash
 
     cycles = 900 if _full(scale) else 450
@@ -1269,7 +1270,7 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
         # -- (b) determinism: identical re-run, and crash + recover -----------
         supervisor, clients = supervised(tmp / "rerun")
         rerun = supervisor.serve(clients, cycles)
-        rerun_diffs = diff_fleet_reports(healed, rerun)
+        rerun_diffs = diff_reports(healed, rerun)
         result.add_row(
             "determinism:rerun", rerun.restarts, round(rerun.goodput, 3),
             round(rerun.availability, 4), rerun.fleet_shed, rerun.reconciled,
@@ -1286,7 +1287,7 @@ def e22_selfheal(scale: str = "full") -> ExperimentResult:
             pass
         supervisor, clients = supervised(tmp / "crashed")
         recovered = supervisor.recover(clients)
-        recovered_diffs = diff_fleet_reports(healed, recovered)
+        recovered_diffs = diff_reports(healed, recovered)
         result.add_row(
             "determinism:crash+recover", recovered.restarts,
             round(recovered.goodput, 3), round(recovered.availability, 4),

@@ -39,11 +39,7 @@ from repro.fleet.router import (
     RoundRobinRouter,
     make_router,
 )
-from repro.fleet.supervisor import (
-    FleetSupervisor,
-    assert_fleet_equivalent,
-    diff_fleet_reports,
-)
+from repro.fleet.supervisor import FleetSupervisor
 from repro.fleet.tenancy import (
     BRONZE,
     GOLD,
@@ -72,8 +68,6 @@ __all__ = [
     "TenantDirectory",
     "TenantPolicy",
     "TenantPopulation",
-    "assert_fleet_equivalent",
-    "diff_fleet_reports",
     "heavy_tailed_tenants",
     "make_router",
 ]

@@ -47,7 +47,7 @@ stepping never nests spans).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.fleet.report import FleetReport
 from repro.fleet.router import Router, make_router
@@ -57,13 +57,9 @@ from repro.memory.faults import FaultSchedule, FaultWindow
 from repro.memory.stats import latency_summary
 from repro.obs.events import NullRecorder
 from repro.serve.clients import Client
-from repro.serve.durability import (
-    DurabilityError,
-    instance_from_json,
-    instance_to_json,
-)
+from repro.serve.durability import DurabilityError
 from repro.serve.engine import ServeEngine
-from repro.serve.request import Request
+from repro.serve.request import Request, instance_from_json, instance_to_json
 from repro.serve.slo import SLOTracker
 from repro.templates.base import TemplateInstance
 
@@ -71,6 +67,7 @@ __all__ = [
     "FLEET_SNAPSHOT_VERSION",
     "HEALTH_STATES",
     "FleetCoordinator",
+    "FleetCounters",
     "ShardFeed",
     "ShardKill",
 ]
@@ -183,6 +180,27 @@ class ShardKill:
         )
 
 
+@dataclass
+class FleetCounters:
+    """The fleet's exactly-once counters, in snapshot order (see
+    :class:`~repro.fleet.report.FleetReport` for the eleven it reports;
+    the two step counts give its availability)."""
+
+    arrivals: int = 0
+    routed: int = 0
+    quota_shed: int = 0
+    rerouted: int = 0
+    rerouted_completed: int = 0
+    completed: int = 0
+    completed_items: int = 0
+    shard_shed: int = 0
+    fleet_shed: int = 0
+    restarts: int = 0
+    reconciled: int = 0
+    alive_steps: int = 0
+    scheduled_steps: int = 0
+
+
 class FleetCoordinator:
     """Step-drive N shards behind fleet-level routing and admission.
 
@@ -267,7 +285,7 @@ class FleetCoordinator:
             for kill in self._kill_specs
         }
         for feed in self._feeds:
-            feed._incoming.clear()
+            feed.drain()
             feed.generated = 0
         self.router.reset()
         self._health: list[str] = ["alive"] * len(self.shards)
@@ -277,20 +295,12 @@ class FleetCoordinator:
         self._death_cycle: dict[int, int] = {}
         self._engine_done = [False] * len(self.shards)
         self._outstanding: dict[str, int] = {}
-        self._rerouted_live: set[int] = set()
-        self._arrivals = 0
-        self._routed = 0
-        self._quota_shed = 0
-        self._rerouted = 0
-        self._rerouted_completed = 0
-        self._completed = 0
-        self._completed_items = 0
-        self._shard_shed = 0
-        self._fleet_shed = 0
-        self._restarts = 0
-        self._reconciled = 0
-        self._alive_steps = 0
-        self._scheduled_steps = 0
+        # re-routed instances still in flight, by id(); the entry holds the
+        # instance itself, so its id cannot be reused by a new object while
+        # the entry lives (a degraded request swaps its instance and leaves
+        # the entry behind)
+        self._rerouted_live: dict[int, TemplateInstance] = {}
+        self.counters = FleetCounters()
         self._cycle = 0
         self._active = False
 
@@ -315,14 +325,9 @@ class FleetCoordinator:
         return self._feeds[shard]
 
     def shard_load(self, shard: int) -> int:
-        """Backlog items a shard holds: routed-but-unpolled feed entries,
-        admitted + blocked queue items, and the in-flight batch."""
-        engine = self.shards[shard]
-        load = self._feeds[shard].backlog_items
-        load += engine.queue.pending_items
-        load += sum(req.size for req in engine.queue.waiting)
-        load += sum(req.size for req in engine._requests.values())
-        return load
+        """Backlog items a shard holds: routed-but-unpolled feed entries plus
+        its engine's :attr:`~repro.serve.engine.ServeEngine.backlog_items`."""
+        return self._feeds[shard].backlog_items + self.shards[shard].backlog_items
 
     def _steppable(self, shard: int) -> bool:
         return self._health[shard] in ("alive", "suspected")
@@ -357,18 +362,16 @@ class FleetCoordinator:
         self._settle_label(request.tenant if request.tenant is not None else "?")
 
     def _on_complete(self, shard: int, request: Request, cycle: int) -> None:
-        self._completed += 1
-        self._completed_items += request.size
+        self.counters.completed += 1
+        self.counters.completed_items += request.size
         self._settle(request)
-        key = id(request.instance)
-        if key in self._rerouted_live:
-            self._rerouted_live.discard(key)
-            self._rerouted_completed += 1
+        if self._rerouted_live.pop(id(request.instance), None) is not None:
+            self.counters.rerouted_completed += 1
 
     def _on_shed(self, shard: int, request: Request, cycle: int) -> None:
-        self._shard_shed += 1
+        self.counters.shard_shed += 1
         self._settle(request)
-        self._rerouted_live.discard(id(request.instance))
+        self._rerouted_live.pop(id(request.instance), None)
 
     # -- shard loss ------------------------------------------------------------
 
@@ -404,9 +407,8 @@ class FleetCoordinator:
         self._suspected_at.pop(shard, None)
         self._dead.append(shard)
         self._death_cycle[shard] = cycle
-        engine = self.shards[shard]
         work: list[tuple[TemplateInstance, str]] = list(self._feeds[shard].drain())
-        for req in self._held_requests(engine):
+        for req in self.shards[shard].held():
             label = req.tenant if req.tenant is not None else str(req.client_id)
             work.append((req.instance, label))
         self.router.on_shard_down(shard, self)
@@ -415,9 +417,9 @@ class FleetCoordinator:
             rec.event("shard_down", cycle=cycle, shard=shard, rerouted=len(work))
         if not self.alive_shards:
             for instance, label in work:
-                self._fleet_shed += 1
+                self.counters.fleet_shed += 1
                 self._settle_label(label)
-                self._rerouted_live.discard(id(instance))
+                self._rerouted_live.pop(id(instance), None)
                 if rec.enabled:
                     rec.event(
                         "fleet_shed",
@@ -430,8 +432,8 @@ class FleetCoordinator:
         for instance, label in work:
             target = self.router.place(label, instance, self)
             self._feeds[target].push(instance, label)
-            self._rerouted += 1
-            self._rerouted_live.add(id(instance))
+            self.counters.rerouted += 1
+            self._rerouted_live[id(instance)] = instance
             if rec.enabled:
                 rec.event(
                     "fleet_reroute",
@@ -441,23 +443,6 @@ class FleetCoordinator:
                     shard=target,
                     size=instance.size,
                 )
-
-    @staticmethod
-    def _held_requests(engine: ServeEngine):
-        """Every *unsettled* request an engine holds, deduped.
-
-        The in-flight table (``_requests``) covers the current batch's
-        still-running members; the batch object itself is deliberately not
-        scanned — it keeps listing requests that already retired mid-batch,
-        and re-routing those would double-execute them.
-        """
-        seen: set[int] = set()
-        held = list(engine.queue.pending) + list(engine.queue.waiting)
-        held += list(engine._requests.values())
-        for req in held:
-            if req.request_id not in seen:
-                seen.add(req.request_id)
-                yield req
 
     # -- restart / rejoin ------------------------------------------------------
 
@@ -486,11 +471,17 @@ class FleetCoordinator:
         ``engine`` (if given) replaces the shard's engine — a restored or
         freshly built one; omitted, the existing engine object (restored in
         place) is re-used.  The engine is reconciled against the failover
-        ledger (see :meth:`_reconcile`), its run window is aligned with the
-        fleet clock, the shard's kill schedule is retired (the kill already
-        fired — a rejoin is a *recovery from* it, not a reprieve), and the
-        router is told via :meth:`~repro.fleet.router.Router.on_shard_up`
-        so placement can rebalance back with bounded migration.
+        ledger: everything the shard held when it died is, by construction,
+        either settled fleet-side already (it completed or shed before the
+        restore point rolled local time back past it) or was re-routed to a
+        survivor at the kill, so the engine is purged
+        (:meth:`~repro.serve.engine.ServeEngine.purge`) and its feed
+        emptied — serving any of it again would double-execute.  Then the
+        engine is aligned with the fleet clock, the shard's kill schedule
+        is retired (the kill already fired — a rejoin is a *recovery from*
+        it, not a reprieve), and the router is told via
+        :meth:`~repro.fleet.router.Router.on_shard_up` so placement can
+        rebalance back with bounded migration.
         """
         if self._health[shard] not in ("restoring", "dead"):
             raise ValueError(
@@ -499,19 +490,15 @@ class FleetCoordinator:
         if engine is not None:
             self.shards[shard] = engine
         engine = self.shards[shard]
-        purged = self._reconcile(shard, engine)
-        # align the engine's run window with the fleet clock: module clocks
-        # and fault cursors catch up on the shard's first step
-        engine._cycle = self._cycle
-        engine._max_cycles = self._max_cycles
-        engine._drain = self._drain
-        engine._drain_limit = self._drain_limit
-        engine._active = True
+        purged = engine.purge()
+        self._feeds[shard].drain()
+        self.counters.reconciled += purged
+        engine.align(self._cycle, self._max_cycles, self._drain, self._drain_limit)
         self._kills.pop(shard, None)
         self._set_health(shard, "alive", self._cycle)
         self._engine_done[shard] = False
         self._rejoined.append(shard)
-        self._restarts += 1
+        self.counters.restarts += 1
         self.router.on_shard_up(shard, self)
         rec = self.recorder
         if rec.enabled:
@@ -522,43 +509,6 @@ class FleetCoordinator:
                 how=how,
                 reconciled=purged,
             )
-        return purged
-
-    def _reconcile(self, shard: int, engine: ServeEngine) -> int:
-        """Dedupe a restored shard against the coordinator's failover ledger.
-
-        Everything the shard held when it died is, by construction, either
-        already settled fleet-side (it completed or shed before the restore
-        point rolled local time back past it) or re-routed to a survivor at
-        the kill.  Serving any of it again would double-execute, so the
-        restored engine is stripped of *all* held work — queue, blocked
-        arrivals, in-flight table, current batch, pending completions and
-        module queues; its feed re-fills with fresh routed arrivals only.
-        """
-        purged = self._purge_engine(engine)
-        self._feeds[shard]._incoming.clear()
-        self._reconciled += purged
-        return purged
-
-    def _purge_engine(self, engine: ServeEngine) -> int:
-        """Strip every held request from an engine; returns how many.
-
-        Used on a restored shard (:meth:`_reconcile`) and on every shard at
-        :meth:`start`: a single engine deliberately carries a previous
-        non-drained run's queue into the next run, but a fleet re-run must
-        be hermetic — a shard that died holding work would otherwise leak
-        it into the re-run and break byte-identical replay.
-        """
-        purged = sum(1 for _ in self._held_requests(engine))
-        engine.queue.pending = []
-        engine.queue.waiting = deque()
-        engine._requests = {}
-        engine._current_batch = None
-        engine._batch_dispatched_at = 0
-        engine._completions = []
-        engine._remaining = {}
-        for mod in engine.system.modules:
-            mod.reset_queue()
         return purged
 
     # -- main loop -------------------------------------------------------------
@@ -596,7 +546,6 @@ class FleetCoordinator:
         self._clients = list(clients)
         self.reset()
         for shard, engine in enumerate(self.shards):
-            self._purge_engine(engine)
             engine.start(
                 [self._feeds[shard]], max_cycles, drain=drain, drain_limit=drain_limit
             )
@@ -655,7 +604,7 @@ class FleetCoordinator:
                     label = (
                         tenant if tenant is not None else str(client.client_id)
                     )
-                    self._arrivals += 1
+                    self.counters.arrivals += 1
                     batch.append((client, instance, label))
             # stable sort: higher-weight classes claim quota and queue room
             # first; arrival order breaks ties
@@ -664,55 +613,21 @@ class FleetCoordinator:
                 if not self.alive_shards:
                     # nowhere to place it: shed at the fleet edge rather
                     # than crash the router on an empty candidate set
-                    self._fleet_shed += 1
-                    if rec.enabled:
-                        rec.event(
-                            "fleet_shed",
-                            cycle=cycle,
-                            tenant=label,
-                            size=instance.size,
-                            reason="no-capacity",
-                        )
-                    client.notify_shed(
-                        Request(
-                            request_id=-1,
-                            client_id=client.client_id,
-                            instance=instance,
-                            arrival_cycle=cycle,
-                            tenant=label,
-                        ),
-                        cycle,
-                    )
+                    self.counters.fleet_shed += 1
+                    self._refuse(client, instance, label, cycle, "no-capacity")
                     continue
                 policy = self.directory.policy(label)
                 if (
                     policy.quota is not None
                     and self._outstanding.get(label, 0) >= policy.quota
                 ):
-                    self._quota_shed += 1
-                    if rec.enabled:
-                        rec.event(
-                            "fleet_shed",
-                            cycle=cycle,
-                            tenant=label,
-                            size=instance.size,
-                            reason="quota",
-                        )
-                    client.notify_shed(
-                        Request(
-                            request_id=-1,
-                            client_id=client.client_id,
-                            instance=instance,
-                            arrival_cycle=cycle,
-                            tenant=label,
-                        ),
-                        cycle,
-                    )
+                    self.counters.quota_shed += 1
+                    self._refuse(client, instance, label, cycle, "quota")
                     continue
                 shard = self.router.place(label, instance, self)
                 self._feeds[shard].push(instance, label)
                 self._outstanding[label] = self._outstanding.get(label, 0) + 1
-                self._routed += 1
+                self.counters.routed += 1
                 if rec.enabled:
                     rec.event(
                         "fleet_route",
@@ -723,13 +638,33 @@ class FleetCoordinator:
                         kind=instance.kind,
                     )
         # 3. lockstep: one cycle on every alive or suspected shard
-        self._scheduled_steps += len(self.shards)
-        self._alive_steps += len(self.alive_shards)
+        self.counters.scheduled_steps += len(self.shards)
+        self.counters.alive_steps += len(self.alive_shards)
         for shard, engine in enumerate(self.shards):
             if self._steppable(shard):
                 self._engine_done[shard] = not engine.step()
         self._cycle = cycle + 1
         return True
+
+    def _refuse(
+        self, client: Client, instance: TemplateInstance, label: str, cycle: int, reason: str
+    ) -> None:
+        """Shed an arrival at the fleet edge: the ``fleet_shed`` event and
+        the client's notification (the caller books the counter)."""
+        if self.recorder.enabled:
+            self.recorder.event(
+                "fleet_shed", cycle=cycle, tenant=label, size=instance.size, reason=reason
+            )
+        client.notify_shed(
+            Request(
+                request_id=-1,
+                client_id=client.client_id,
+                instance=instance,
+                arrival_cycle=cycle,
+                tenant=label,
+            ),
+            cycle,
+        )
 
     def finish(self) -> FleetReport:
         """Close every shard out and merge the fleet view."""
@@ -737,34 +672,23 @@ class FleetCoordinator:
         shard_reports = [engine.finish() for engine in self.shards]
         merged = SLOTracker.merged(engine.tracker for engine in self.shards)
         cycles = self._cycle
-        availability = (
-            self._alive_steps / self._scheduled_steps
-            if self._scheduled_steps
-            else 1.0
-        )
+        counts = asdict(self.counters)
+        alive, scheduled = counts.pop("alive_steps"), counts.pop("scheduled_steps")
         rec = self.recorder
         if rec.enabled:
             rec.set_meta(
                 fleet_cycles=cycles,
-                fleet_routed=self._routed,
-                fleet_rerouted=self._rerouted,
+                fleet_routed=counts["routed"],
+                fleet_rerouted=counts["rerouted"],
                 fleet_dead_shards=list(self._dead),
-                fleet_restarts=self._restarts,
+                fleet_restarts=counts["restarts"],
             )
         return FleetReport(
             shards=len(self.shards),
             router=self.router.name,
             cycles=cycles,
-            arrivals=self._arrivals,
-            routed=self._routed,
-            quota_shed=self._quota_shed,
-            rerouted=self._rerouted,
-            rerouted_completed=self._rerouted_completed,
-            completed=self._completed,
-            completed_items=self._completed_items,
-            shard_shed=self._shard_shed,
-            goodput=self._completed_items / cycles if cycles else 0.0,
-            availability=availability,
+            goodput=counts["completed_items"] / cycles if cycles else 0.0,
+            availability=alive / scheduled if scheduled else 1.0,
             latency=latency_summary(merged.sojourns) if merged.sojourns else None,
             tenants=merged.tenant_summary(),
             classes=self._class_table(merged),
@@ -773,11 +697,9 @@ class FleetCoordinator:
             wall_time_s=max(
                 (report.wall_time_s for report in shard_reports), default=0.0
             ),
-            fleet_shed=self._fleet_shed,
-            restarts=self._restarts,
             rejoined=list(self._rejoined),
-            reconciled=self._reconciled,
             health=list(self._health),
+            **counts,
         )
 
     def run(
@@ -821,21 +743,7 @@ class FleetCoordinator:
             "active_kills": sorted(self._kills),
             "engine_done": list(self._engine_done),
             "outstanding": dict(self._outstanding),
-            "counters": {
-                "arrivals": self._arrivals,
-                "routed": self._routed,
-                "quota_shed": self._quota_shed,
-                "rerouted": self._rerouted,
-                "rerouted_completed": self._rerouted_completed,
-                "completed": self._completed,
-                "completed_items": self._completed_items,
-                "shard_shed": self._shard_shed,
-                "fleet_shed": self._fleet_shed,
-                "restarts": self._restarts,
-                "reconciled": self._reconciled,
-                "alive_steps": self._alive_steps,
-                "scheduled_steps": self._scheduled_steps,
-            },
+            "counters": asdict(self.counters),
             "router": {
                 "name": self.router.name,
                 "state": self.router.state_dict(),
@@ -905,35 +813,24 @@ class FleetCoordinator:
         self._outstanding = {
             str(k): int(v) for k, v in state["outstanding"].items()
         }
-        counters = state["counters"]
-        self._arrivals = int(counters["arrivals"])
-        self._routed = int(counters["routed"])
-        self._quota_shed = int(counters["quota_shed"])
-        self._rerouted = int(counters["rerouted"])
-        self._rerouted_completed = int(counters["rerouted_completed"])
-        self._completed = int(counters["completed"])
-        self._completed_items = int(counters["completed_items"])
-        self._shard_shed = int(counters["shard_shed"])
-        self._fleet_shed = int(counters["fleet_shed"])
-        self._restarts = int(counters["restarts"])
-        self._reconciled = int(counters["reconciled"])
-        self._alive_steps = int(counters["alive_steps"])
-        self._scheduled_steps = int(counters["scheduled_steps"])
+        self.counters = FleetCounters(
+            **{key: int(value) for key, value in state["counters"].items()}
+        )
         self._max_cycles = int(state["max_cycles"])
         self._drain = bool(state["drain"])
         self._drain_limit = int(state["drain_limit"])
         self._cycle = int(state["cycle"])
         self._active = bool(state["active"])
-        self._rerouted_live = set()
+        self._rerouted_live = {}
         for kind, shard, key in state["rerouted_live"]:
             shard = int(shard)
             if kind == "feed":
                 instance = self._feeds[shard]._incoming[int(key)][0]
-                self._rerouted_live.add(id(instance))
+                self._rerouted_live[id(instance)] = instance
             else:
-                for req in self._held_requests(self.shards[shard]):
+                for req in self.shards[shard].held():
                     if req.request_id == int(key):
-                        self._rerouted_live.add(id(req.instance))
+                        self._rerouted_live[id(req.instance)] = req.instance
                         break
 
     def _locate_rerouted(self) -> list[list]:
@@ -958,7 +855,7 @@ class FleetCoordinator:
                 # a dead engine still holds stale aliases of the instances
                 # that were re-routed off it; the live copy is elsewhere
                 continue
-            for req in self._held_requests(engine):
+            for req in engine.held():
                 if id(req.instance) in unresolved:
                     unresolved.discard(id(req.instance))
                     locators.append(["engine", shard, req.request_id])
@@ -971,26 +868,20 @@ class FleetCoordinator:
         from each tenant's sojourns against its class deadline."""
         if not merged.tenants:
             return None
-        table: dict[str, dict] = {}
-        for name, slo in self.directory.classes().items():
-            table[name] = {
+
+        def empty(slo) -> dict:
+            return {
                 "deadline": slo.deadline,
                 "completed": 0,
                 "deadline_misses": 0,
                 "miss_rate": 0.0,
             }
+
+        table = {name: empty(slo) for name, slo in self.directory.classes().items()}
         for label in sorted(merged.tenants):
             bucket = merged.tenants[label]
             slo = self.directory.policy(label).slo
-            row = table.setdefault(
-                slo.name,
-                {
-                    "deadline": slo.deadline,
-                    "completed": 0,
-                    "deadline_misses": 0,
-                    "miss_rate": 0.0,
-                },
-            )
+            row = table.setdefault(slo.name, empty(slo))
             row["completed"] += bucket["completed"]
             if slo.deadline is not None:
                 row["deadline_misses"] += sum(

@@ -45,7 +45,6 @@ fleet-level source of truth.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 from repro.fleet.coordinator import FLEET_SNAPSHOT_VERSION, FleetCoordinator
@@ -58,15 +57,10 @@ from repro.serve.durability import (
     DurabilityError,
     DurableHost,
     attach_journal,
-    diff_reports,
 )
 from repro.serve.engine import ServeEngine
 
-__all__ = [
-    "FleetSupervisor",
-    "assert_fleet_equivalent",
-    "diff_fleet_reports",
-]
+__all__ = ["FleetSupervisor"]
 
 
 class FleetSupervisor(DurableHost):
@@ -265,14 +259,14 @@ class FleetSupervisor(DurableHost):
                 engine.restore(snap, [coord.feed(shard)])
             else:
                 # a shard that died before its first checkpoint and whose
-                # death snapshot is gone: serve on with an empty history
+                # death snapshot is gone: an empty history (it is dead, so
+                # it never steps)
                 engine = self._started_engine(
                     shard,
                     manifest["max_cycles"],
                     manifest["drain"],
                     manifest["drain_limit"],
                 )
-                engine._active = False
             coord.shards[shard] = engine
             if state in ("alive", "suspected"):
                 journal = attach_journal(engine, self.stores[shard].recover_journal())
@@ -402,45 +396,8 @@ class FleetSupervisor(DurableHost):
                 for entry in journal.records
                 if entry.get("kind") == "admit" and entry.get("request") is not None
             ]
-            engine._next_id = max([engine._next_id, *(r + 1 for r in admitted)])
+            engine.reserve_ids(admitted)
             attach_journal(engine, journal)
         elif store is not None:
             attach_journal(engine, store.create_journal())
         return engine, {}
-
-
-# -- fleet run equivalence -----------------------------------------------------
-
-#: FleetReport fields excluded from equivalence (host-dependent wall clock)
-FLEET_WALL_CLOCK_FIELDS = frozenset({"wall_time_s"})
-
-
-def diff_fleet_reports(a: FleetReport, b: FleetReport) -> list[str]:
-    """Field-by-field differences between two fleet reports, wall-clock and
-    per-shard wall-clock excluded.  Empty list = equivalent."""
-    diffs: list[str] = []
-    for f in dataclasses.fields(FleetReport):
-        if f.name in FLEET_WALL_CLOCK_FIELDS:
-            continue
-        if f.name == "shard_reports":
-            continue
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va != vb:
-            diffs.append(f"{f.name}: {va!r} != {vb!r}")
-    if len(a.shard_reports) != len(b.shard_reports):
-        diffs.append(
-            f"shard_reports: {len(a.shard_reports)} != {len(b.shard_reports)}"
-        )
-    else:
-        for shard, (ra, rb) in enumerate(zip(a.shard_reports, b.shard_reports)):
-            diffs.extend(
-                f"shard {shard} {line}" for line in diff_reports(ra, rb)
-            )
-    return diffs
-
-
-def assert_fleet_equivalent(a: FleetReport, b: FleetReport) -> None:
-    """Raise :class:`DurabilityError` naming the first divergence."""
-    diffs = diff_fleet_reports(a, b)
-    if diffs:
-        raise DurabilityError("fleet reports differ: " + "; ".join(diffs))

@@ -16,7 +16,9 @@ Endpoints (all responses JSON unless noted):
     ``count`` (default 1), ``tenant``, ``index`` (pick the exact instance
     instead of sampling) and ``components`` (composites).  The requests
     enter through a :class:`SubmitFeed` client, i.e. through the engine's
-    normal admission control — exactly like generated traffic.
+    normal admission control — exactly like generated traffic — and are
+    sealed with a checkpoint before the response is sent, so they survive
+    a crash.
 ``GET /status``
     cycle, active flag, arrival/completion counters, checkpoint state,
     current knob values.
@@ -27,10 +29,10 @@ Endpoints (all responses JSON unless noted):
     mutate serving knobs mid-flight: any of ``{"policy": name}``,
     ``{"deadline": cycles|null}``, ``{"retry_timeout": cycles|null}``.
     Applied at the cycle boundary, persisted to the state dir's
-    ``config.json`` (so ``pmtree recover`` rebuilds the *new* engine), and
-    sealed with an immediate checkpoint — the barrier that keeps knob
-    changes crash-consistent.  Requests journalled after that barrier and
-    before the next checkpoint are covered by normal journal replay.
+    ``config.json``, and sealed with an immediate checkpoint.  Snapshots
+    carry the knobs and a restore applies them, so a kill before the
+    checkpoint recovers to the run without the change and a kill after it
+    to the run with it.
 ``GET /events``
     live NDJSON stream of obs events as they are recorded (a
     :class:`QueueSink` subscriber); ``?limit=N`` closes the stream after N
@@ -42,7 +44,8 @@ Graceful shutdown (SIGTERM/SIGINT/``POST /shutdown``) stops the pump at a
 cycle boundary, writes a final checkpoint covering the whole journal, and
 closes the journal — so ``pmtree recover --state-dir DIR`` performs a
 rolling restart that replays **zero** journal records and resumes the run
-exactly-once from the shutdown cycle.
+exactly-once from the shutdown cycle.  A pump that stops on an error only
+closes the journal and lets the error propagate.
 """
 
 from __future__ import annotations
@@ -56,13 +59,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs.sinks import EventSink
-from repro.serve.batching import make_policy
 from repro.serve.clients import Client, _elementary_family
-from repro.serve.durability import (
-    DurableServer,
-    instance_from_json,
-    instance_to_json,
-)
+from repro.serve.durability import DurableServer
+from repro.serve.request import instance_from_json, instance_to_json
 from repro.templates.composite import CompositeSampler
 
 __all__ = ["ServeDaemon", "SubmitFeed", "QueueSink"]
@@ -306,6 +305,7 @@ class ServeDaemon:
             flush=True,
         )
         driver = self.server.driver
+        pumped = False
         try:
             while not self._shutdown_requested and not self._engine_done:
                 for _ in range(self.cycles_per_tick):
@@ -315,8 +315,9 @@ class ServeDaemon:
                         self._engine_done = True
                         break
                 await asyncio.sleep(self.tick_interval)
+            pumped = True
         finally:
-            self.report = self._close()
+            self.report = self._close(pumped)
             self._http.close()
             await self._http.wait_closed()
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -328,14 +329,21 @@ class ServeDaemon:
                 recorder.detach(self.events_sink)
         return self.report
 
-    def _close(self):
+    def _close(self, pumped: bool):
         """Seal the run: final checkpoint (if still mid-run), then finish.
 
         The final checkpoint covers every journalled record, which is what
         makes the restart *rolling*: ``pmtree recover`` finds a snapshot at
-        the exact shutdown boundary and replays zero records.
+        the exact shutdown boundary and replays zero records.  When the pump
+        died on an error instead (a run that can never drain, say), a
+        recovery would only meet the same error: the journal is closed, no
+        resume is advised, and the error propagates.
         """
         engine = self.server.engine
+        if not pumped:
+            self.server.journal.close()
+            self.events_sink.close()
+            return None
         if engine.active:
             self.server.checkpoint()
             print(
@@ -399,23 +407,7 @@ class ServeDaemon:
                 await self._stream_events(writer, query)
             elif method == "POST" and path == "/submit":
                 payload = json.loads(body or b"{}")
-                queued = self.feed.submit(
-                    payload["kind"],
-                    int(payload["size"]),
-                    count=int(payload.get("count", 1)),
-                    tenant=payload.get("tenant"),
-                    index=payload.get("index"),
-                    components=int(payload.get("components", 2)),
-                )
-                await self._respond(
-                    writer,
-                    200,
-                    {
-                        "submitted": queued,
-                        "cycle": self.server.engine.cycle,
-                        "backlog": self.feed.backlog,
-                    },
-                )
+                await self._respond(writer, 200, self._submit(payload))
             elif method == "POST" and path == "/policy":
                 payload = json.loads(body or b"{}")
                 applied = self._apply_knobs(payload)
@@ -459,52 +451,56 @@ class ServeDaemon:
             "shutdown_requested": self._shutdown_requested,
         }
 
+    def _submit(self, payload: dict) -> dict:
+        """Queue submitted work on the feed and seal it with a checkpoint.
+
+        The checkpoint is the barrier that makes a submission survive a
+        crash: the feed's backlog is in the snapshot before the engine polls
+        it, so the requests it admits are journalled *after* a snapshot that
+        holds them, and a recovery replays their arrival exactly.
+        """
+        queued = self.feed.submit(
+            payload["kind"],
+            int(payload["size"]),
+            count=int(payload.get("count", 1)),
+            tenant=payload.get("tenant"),
+            index=payload.get("index"),
+            components=int(payload.get("components", 2)),
+        )
+        self._seal()
+        return {
+            "submitted": queued,
+            "cycle": self.server.engine.cycle,
+            "backlog": self.feed.backlog,
+        }
+
     def _apply_knobs(self, payload: dict) -> dict:
         """Apply mid-flight knob changes, persist them, seal with a checkpoint.
 
-        Order matters for crash consistency: mutate the engine, rewrite
-        ``config.json`` (so a rebuilt engine matches), then checkpoint (so
-        the snapshot recovery restores from was captured *by* the mutated
-        engine).  A hard kill between the rewrite and the checkpoint
-        recovers from the previous checkpoint with the new config — safe,
-        because knobs are not part of the replay-verified record stream.
+        :meth:`~repro.serve.engine.ServeEngine.set_knobs` checks and sets
+        them, ``config.json`` is rewritten (so ``pmtree recover`` rebuilds
+        the changed engine), then the checkpoint seals the change.  Every
+        snapshot carries the knobs it was taken under and a restore applies
+        them, so a kill at any point is safe: before the checkpoint, the
+        recovery restores the previous snapshot's knobs and continues the
+        run without the change; after it, the run continues with it.
         """
-        engine = self.server.engine
-        applied = {}
-        unknown = set(payload) - {"policy", "deadline", "retry_timeout"}
-        if unknown:
-            raise ValueError(f"unknown knobs: {sorted(unknown)}")
         if not payload:
             raise ValueError(
                 "pass at least one of policy/deadline/retry_timeout"
             )
-        if "policy" in payload:
-            name = payload["policy"]
-            engine.policy = make_policy(
-                name,
-                max_components=engine.policy.max_components,
-                bound_k=getattr(engine.system.mapping, "k", None),
-            )
-            self.config["policy"] = name
-            applied["policy"] = name
-        if "deadline" in payload:
-            deadline = payload["deadline"]
-            engine.deadline = None if deadline is None else int(deadline)
-            self.config["deadline"] = engine.deadline
-            applied["deadline"] = engine.deadline
-        if "retry_timeout" in payload:
-            timeout = payload["retry_timeout"]
-            if timeout is not None and int(timeout) < 1:
-                raise ValueError(f"retry_timeout must be >= 1, got {timeout}")
-            engine.retry_timeout = None if timeout is None else int(timeout)
-            self.config["retry_timeout"] = engine.retry_timeout
-            applied["retry_timeout"] = engine.retry_timeout
+        applied = self.server.engine.set_knobs(**payload)
+        self.config.update(applied)
         self.config_path.write_text(
             json.dumps(self.config, indent=2) + "\n"
         )
-        if engine.active:
-            self.server.checkpoint()
+        self._seal()
         return applied
+
+    def _seal(self) -> None:
+        """Checkpoint now, at this cycle boundary, if the run is still live."""
+        if self.server.engine.active:
+            self.server.checkpoint()
 
     async def _stream_events(self, writer, query: str) -> None:
         limit = None

@@ -8,13 +8,14 @@ crash recovery provable rather than merely plausible, and this module
 proves it with three pieces:
 
 :class:`EngineSnapshot`
-    a versioned, JSON-serializable checkpoint of the full serving state:
-    the engine's request table and id counter, admission queue contents,
-    SLO counters, per-module queues and port clocks, the system's lifetime
-    clock, the fault-schedule cursor, repair-cache keys, and every RNG
-    state.  :meth:`ServeEngine.checkpoint` / :meth:`ServeEngine.restore`
-    round-trip through it; :func:`repro.io.save_snapshot` adds a CRC and an
-    atomic write.
+    a versioned envelope (version, cycle, journal seqno) around the
+    engine's own :meth:`~ServeEngine.state_dict`: the request table and id
+    counter, admission queue contents, knobs, SLO counters, per-module
+    queues and port clocks, the system's lifetime clock, the fault-schedule
+    cursor, repair-cache keys, and every RNG state.
+    :meth:`ServeEngine.checkpoint` / :meth:`ServeEngine.restore` round-trip
+    through it; :func:`repro.io.save_snapshot` adds a CRC and an atomic
+    write.
 
 :class:`ServeJournal`
     an append-only JSONL write-ahead log of ``admit`` / ``dispatch`` /
@@ -48,27 +49,19 @@ equivalence comparison via :data:`CONTROL_EVENTS`.
 
 from __future__ import annotations
 
-import heapq
 import json
 import time
 import weakref
 import zlib
-from collections import deque
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-
-import numpy as np
 
 from repro.host.driver import Driver
 from repro.io import load_snapshot, save_snapshot
 from repro.obs.perf import NULL_PROFILER
-from repro.serve.batching import Batch, _elementary_components
 from repro.serve.clients import Client
 from repro.serve.engine import ServeEngine
-from repro.serve.request import Request
-from repro.serve.slo import WALL_CLOCK_FIELDS, ServeReport, SLOTracker
-from repro.templates.base import TemplateInstance
-from repro.templates.composite import CompositeInstance, make_composite
+from repro.serve.slo import WALL_CLOCK_FIELDS, ServeReport
 
 __all__ = [
     "CONTROL_EVENTS",
@@ -87,12 +80,8 @@ __all__ = [
     "attach_journal",
     "diff_reports",
     "filter_control",
-    "instance_from_json",
-    "instance_to_json",
     "journal_accounting",
     "read_manifest",
-    "request_from_json",
-    "request_to_json",
     "run_with_recovery",
     "write_manifest",
 ]
@@ -117,72 +106,6 @@ class SimulatedCrash(RuntimeError):
     """Raised by the crash harness at the planned kill point."""
 
 
-# -- instance / request serialization -----------------------------------------
-
-
-def instance_to_json(instance: TemplateInstance) -> dict:
-    if isinstance(instance, CompositeInstance):
-        return {
-            "kind": "composite",
-            "components": [instance_to_json(c) for c in instance.components],
-        }
-    return {
-        "kind": instance.kind,
-        "nodes": [int(n) for n in instance.nodes],
-        "anchor": int(instance.anchor),
-    }
-
-
-def instance_from_json(payload: dict) -> TemplateInstance:
-    if payload["kind"] == "composite":
-        return make_composite(
-            [instance_from_json(c) for c in payload["components"]]
-        )
-    return TemplateInstance(
-        kind=payload["kind"],
-        nodes=np.array(payload["nodes"], dtype=np.int64),
-        anchor=int(payload["anchor"]),
-    )
-
-
-def request_to_json(request: Request) -> dict:
-    return {
-        "id": request.request_id,
-        "client": request.client_id,
-        "tenant": request.tenant,
-        "instance": instance_to_json(request.instance),
-        "arrival": request.arrival_cycle,
-        "deadline": request.deadline,
-        "admit": request.admit_cycle,
-        "dispatch": request.dispatch_cycle,
-        "complete": request.complete_cycle,
-        "degraded": request.degraded,
-        "attempts": request.attempts,
-        "timeouts": request.timeouts,
-        "retry_at": request.retry_at,
-    }
-
-
-def request_from_json(payload: dict) -> Request:
-    return Request(
-        request_id=int(payload["id"]),
-        client_id=int(payload["client"]),
-        # snapshots from before multi-tenancy have no tenant: None makes the
-        # rebuilt request default it from the client id, as the engine would
-        tenant=payload.get("tenant"),
-        instance=instance_from_json(payload["instance"]),
-        arrival_cycle=int(payload["arrival"]),
-        deadline=None if payload["deadline"] is None else int(payload["deadline"]),
-        admit_cycle=int(payload["admit"]),
-        dispatch_cycle=int(payload["dispatch"]),
-        complete_cycle=int(payload["complete"]),
-        degraded=int(payload["degraded"]),
-        attempts=int(payload["attempts"]),
-        timeouts=int(payload["timeouts"]),
-        retry_at=int(payload["retry_at"]),
-    )
-
-
 # -- engine snapshot -----------------------------------------------------------
 
 
@@ -193,8 +116,8 @@ class EngineSnapshot:
     ``cycle`` is the next cycle the restored run will execute; ``seqno`` is
     the journal position the snapshot covers (every record with a smaller
     seqno is already folded into the state, every later one will be
-    re-emitted — and verified — by re-execution).  ``state`` is the full
-    JSON-serializable payload; persist it with
+    re-emitted — and verified — by re-execution).  ``state`` is the
+    engine's :meth:`~ServeEngine.state_dict`; persist the snapshot with
     :func:`repro.io.save_snapshot`.
     """
 
@@ -206,82 +129,8 @@ class EngineSnapshot:
     @classmethod
     def capture(cls, engine: ServeEngine) -> "EngineSnapshot":
         """Snapshot a running engine between :meth:`~ServeEngine.step` calls."""
-        # one shared registry: the same Request object may sit in the
-        # in-flight table, the queue, and the current batch at once
-        requests: dict[int, Request] = {}
-        for req in engine._requests.values():
-            requests.setdefault(req.request_id, req)
-        for req in engine.queue.pending:
-            requests.setdefault(req.request_id, req)
-        for req in engine.queue.waiting:
-            requests.setdefault(req.request_id, req)
-        batch = engine._current_batch
-        if batch is not None:
-            for req in batch.requests:
-                requests.setdefault(req.request_id, req)
-        batch_state = None
-        if batch is not None:
-            # the batch's costing is pinned at dispatch time (the effective
-            # mapping may have changed since), so store it rather than
-            # recomputing against the restore-time mapping
-            batch_state = {
-                "ids": [req.request_id for req in batch.requests],
-                "dispatched_at": engine._batch_dispatched_at,
-                "module_counts": [int(c) for c in batch.module_counts],
-                "conflicts": batch.conflicts,
-                "num_components": batch.num_components,
-            }
-        state = {
-            "config": {
-                "policy": engine.policy.name,
-                "admission": engine.queue.policy,
-                "queue_capacity": engine.queue.capacity,
-                "repair": engine.repair,
-                "num_modules": engine.system.num_modules,
-            },
-            "next_id": engine._next_id,
-            "failed_now": sorted(engine._failed_now),
-            "repair_keys": [sorted(key) for key in engine._repair_cache],
-            "requests": {
-                str(rid): request_to_json(req) for rid, req in requests.items()
-            },
-            "inflight": sorted(engine._requests),
-            "queue": {
-                "pending": [req.request_id for req in engine.queue.pending],
-                "waiting": [req.request_id for req in engine.queue.waiting],
-            },
-            "batch": batch_state,
-            "run": {
-                "max_cycles": engine._max_cycles,
-                "drain": engine._drain,
-                "drain_limit": engine._drain_limit,
-                "cycle": engine._cycle,
-                "access_index": engine._access_index,
-                "active": engine._active,
-                "completions": [list(entry) for entry in engine._completions],
-                "remaining": {
-                    str(rid): n for rid, n in engine._remaining.items()
-                },
-            },
-            "tracker": engine.tracker.state_dict(),
-            "system": engine.system.snapshot_state(),
-            "clients": {
-                str(client.client_id): client.state_dict()
-                for client in engine._clients
-            },
-            "recorder": (
-                engine.system.recorder.state_dict()
-                if engine.system.recorder.enabled
-                else None
-            ),
-        }
         seqno = engine.journal.position if engine.journal is not None else 0
-        return cls(
-            version=SNAPSHOT_VERSION,
-            cycle=engine._cycle,
-            seqno=seqno,
-            state=state,
-        )
+        return cls(SNAPSHOT_VERSION, engine.cycle, seqno, engine.state_dict())
 
     def restore_into(self, engine: ServeEngine, clients: list[Client]) -> None:
         """Load this snapshot into a freshly configured engine + clients."""
@@ -290,98 +139,7 @@ class EngineSnapshot:
                 f"snapshot version {self.version} unsupported "
                 f"(expected {SNAPSHOT_VERSION})"
             )
-        state = self.state
-        config = state["config"]
-        live = {
-            "policy": engine.policy.name,
-            "admission": engine.queue.policy,
-            "queue_capacity": engine.queue.capacity,
-            "repair": engine.repair,
-            "num_modules": engine.system.num_modules,
-        }
-        mismatched = {
-            key: (config[key], live[key])
-            for key in live
-            if config.get(key) != live[key]
-        }
-        if mismatched:
-            raise DurabilityError(
-                f"engine configuration does not match the snapshot: {mismatched}"
-            )
-        clients_by_id = {client.client_id: client for client in clients}
-        snap_clients = state["clients"]
-        if set(snap_clients) != {str(cid) for cid in clients_by_id}:
-            raise DurabilityError(
-                f"client ids {sorted(clients_by_id)} do not match the "
-                f"snapshot's {sorted(snap_clients)}"
-            )
-        registry = {
-            int(rid): request_from_json(payload)
-            for rid, payload in state["requests"].items()
-        }
-        engine._next_id = int(state["next_id"])
-        engine._requests = {rid: registry[rid] for rid in state["inflight"]}
-        engine.queue.pending = [
-            registry[rid] for rid in state["queue"]["pending"]
-        ]
-        engine.queue.waiting = deque(
-            registry[rid] for rid in state["queue"]["waiting"]
-        )
-        batch_state = state["batch"]
-        if batch_state is None:
-            engine._current_batch = None
-            engine._batch_dispatched_at = 0
-        else:
-            engine._current_batch = self._rebuild_batch(batch_state, registry)
-            engine._batch_dispatched_at = int(batch_state["dispatched_at"])
-        run = state["run"]
-        engine._max_cycles = int(run["max_cycles"])
-        engine._drain = bool(run["drain"])
-        engine._drain_limit = int(run["drain_limit"])
-        engine._cycle = int(run["cycle"])
-        engine._access_index = int(run["access_index"])
-        engine._active = bool(run["active"])
-        completions = [tuple(entry) for entry in run["completions"]]
-        heapq.heapify(completions)
-        engine._completions = completions
-        engine._remaining = {
-            int(rid): int(n) for rid, n in run["remaining"].items()
-        }
-        engine.tracker = SLOTracker.from_state(state["tracker"])
-        engine.system.restore_state(state["system"])
-        # rebuild the repair cache (deterministic per failed set) in its
-        # snapshotted LRU order, then bind the effective dispatch mapping
-        engine._repair_cache.clear()
-        for key in state["repair_keys"]:
-            engine._repair_mapping(frozenset(int(m) for m in key))
-        engine._failed_now = frozenset(int(m) for m in state["failed_now"])
-        engine._mapping = engine._repair_mapping(engine._failed_now)
-        for client in clients:
-            client.load_state(snap_clients[str(client.client_id)])
-        engine._clients = list(clients)
-        engine._clients_by_id = clients_by_id
-        recorder_state = state["recorder"]
-        if recorder_state is not None and engine.system.recorder.enabled:
-            engine.system.recorder.load_state(recorder_state)
-
-    @staticmethod
-    def _rebuild_batch(batch_state: dict, registry: dict[int, Request]) -> Batch:
-        reqs = tuple(registry[int(rid)] for rid in batch_state["ids"])
-        nodes = np.concatenate([req.nodes for req in reqs])
-        parts = _elementary_components(reqs)
-        composite = None
-        if parts is not None and len(parts) > 1:
-            composite = make_composite(parts)
-        return Batch(
-            requests=reqs,
-            nodes=nodes,
-            module_counts=np.array(
-                batch_state["module_counts"], dtype=np.int64
-            ),
-            conflicts=int(batch_state["conflicts"]),
-            num_components=int(batch_state["num_components"]),
-            composite=composite,
-        )
+        engine.load_state(self.state, clients)
 
     # -- persistence -----------------------------------------------------------
 
@@ -640,7 +398,7 @@ class CheckpointStore:
         """
         with engine.profiler.span("checkpoint"):
             snapshot = engine.checkpoint()
-            save_snapshot(snapshot.to_json(), self.snapshot_path(engine._cycle))
+            save_snapshot(snapshot.to_json(), self.snapshot_path(snapshot.cycle))
         self.prune()
         return snapshot
 
@@ -1050,21 +808,29 @@ def filter_control(events: list[dict]) -> list[dict]:
     return [ev for ev in events if ev.get("ev") not in CONTROL_EVENTS]
 
 
-def diff_reports(a: ServeReport, b: ServeReport) -> list[str]:
-    """Field-by-field differences between two reports (empty == identical).
+def diff_reports(a, b) -> list[str]:
+    """Field-by-field differences between two :class:`ServeReport` or two
+    :class:`~repro.fleet.report.FleetReport` objects (empty == identical).
 
     Wall-clock fields (:data:`~repro.serve.slo.WALL_CLOCK_FIELDS`) are
     excluded: two bit-identical simulated histories always differ in real
-    seconds, so they are not part of the equivalence claim.
+    seconds, so they are not part of the equivalence claim.  A fleet
+    report's ``shard_reports`` are diffed shard by shard.
     """
     out = []
-    for f in dataclass_fields(ServeReport):
+    for f in dataclass_fields(a):
         if f.name in WALL_CLOCK_FIELDS:
             continue
         va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va != vb:
+        if f.name == "shard_reports" and len(va) == len(vb):
+            for shard, (ra, rb) in enumerate(zip(va, vb)):
+                out.extend(f"shard {shard} {line}" for line in diff_reports(ra, rb))
+        elif f.name == "shard_reports":
+            out.append(f"shard_reports: {len(va)} != {len(vb)}")
+        elif va != vb:
             out.append(f"{f.name}: {va!r} != {vb!r}")
     return out
+
 
 def assert_equivalent(
     baseline: tuple[ServeReport, list[dict]],

@@ -44,19 +44,41 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict, deque
+from itertools import chain
+
+import numpy as np
 
 from repro.core.mapping import TreeMapping
 from repro.host.driver import Driver
 from repro.memory.system import ParallelMemorySystem
 from repro.obs.perf import NULL_PROFILER, NullProfiler
-from repro.serve.batching import Batch, BatchPolicy, make_policy
+from repro.serve.batching import (
+    Batch,
+    BatchPolicy,
+    _elementary_components,
+    make_policy,
+)
 from repro.serve.clients import Client
-from repro.serve.request import AdmissionQueue, Request, degrade_instance
+from repro.serve.request import (
+    AdmissionQueue,
+    Request,
+    degrade_instance,
+    request_from_json,
+    request_to_json,
+)
 from repro.serve.slo import ServeReport, SLOTracker
+from repro.templates.composite import make_composite
 
-__all__ = ["REPAIR_MODES", "DrainError", "ServeEngine"]
+__all__ = ["KNOBS", "REPAIR_MODES", "DrainError", "ServeEngine"]
 
 REPAIR_MODES = ("none", "oblivious", "color")
+
+#: the serving knobs :meth:`ServeEngine.set_knobs` changes mid-run; a
+#: snapshot carries them and a restore applies them
+KNOBS = ("policy", "deadline", "retry_timeout")
+
+#: snapshot ``config`` keys a restoring engine must already match
+_STRUCTURE = ("admission", "queue_capacity", "repair", "num_modules")
 
 
 class DrainError(RuntimeError):
@@ -147,9 +169,8 @@ class ServeEngine:
             )
         self.policy = policy
         self.queue = AdmissionQueue(queue_capacity, policy=admission)
-        self.deadline = deadline
-        if retry_timeout is not None and retry_timeout < 1:
-            raise ValueError(f"retry_timeout must be >= 1, got {retry_timeout}")
+        self.deadline = self.retry_timeout = None
+        self.set_knobs(deadline=deadline, retry_timeout=retry_timeout)
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if backoff_base < 1 or backoff_cap < backoff_base:
@@ -163,7 +184,6 @@ class ServeEngine:
             raise ValueError(
                 f"repair_cache_cap must be >= 1, got {repair_cache_cap}"
             )
-        self.retry_timeout = retry_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -277,11 +297,10 @@ class ServeEngine:
         if self.system._faults_pending_after(cycle):
             return
         blocked = [mod.module_id for mod in modules if mod.queue]
-        held = len(self._requests) + len(self.queue.pending) + len(self.queue.waiting)
         raise DrainError(
-            f"serving can never drain: {held} requests wait behind failed "
-            f"modules {blocked}, which no later fault edge repairs, and no "
-            f"retry timeout aborts the batch holding them"
+            f"serving can never drain: {len(self.held())} requests wait "
+            f"behind failed modules {blocked}, which no later fault edge "
+            "repairs, and no retry timeout aborts the batch holding them"
         )
 
     # -- dispatch / service internals -----------------------------------------
@@ -381,6 +400,42 @@ class ServeEngine:
             if client is not None:
                 client.notify(request, done_cycle)
         return last
+
+    def _admitted(self, request: Request, cycle: int) -> None:
+        """Book an admission: the tracker, then the ``admit`` WAL record."""
+        self.tracker.on_admit(request)
+        self._journal(
+            "admit",
+            cycle,
+            request=request.request_id,
+            client=request.client_id,
+            tenant=request.tenant,
+            size=request.size,
+        )
+
+    def _end_batch(self, cycle: int, rounds: int, aborted: bool = False) -> None:
+        """Free the array: book the in-flight batch's ``rounds`` and emit its
+        ``batch_retire``; an ``aborted`` batch (the retry timeout cut it
+        short) also sends its unfinished requests up the retry ladder."""
+        batch = self._current_batch
+        self._current_batch = None
+        if aborted:
+            self.tracker.on_batch_aborted(batch, rounds)
+        else:
+            self.tracker.on_batch_retired(batch, rounds)
+        rec = self.system.recorder
+        if rec.enabled:
+            rec.event(
+                "batch_retire",
+                cycle=cycle,
+                rounds=rounds,
+                requests=len(batch),
+                components=batch.num_components,
+                conflicts=batch.conflicts,
+                **({"aborted": True} if aborted else {}),
+            )
+        if aborted:
+            self._abort_batch(batch, cycle)
 
     # -- retry ladder ----------------------------------------------------------
 
@@ -495,7 +550,8 @@ class ServeEngine:
         drain: bool = True,
         drain_limit: int = 1_000_000,
     ) -> None:
-        """Arm a fresh run: reset the system, install clients, zero the clock.
+        """Arm a fresh run: reset the system, drop every request an earlier
+        run left behind (:meth:`purge`), install clients, zero the clock.
 
         ``run`` is ``start`` + ``step`` until exhausted + ``finish``; the
         split exists so a supervisor (:mod:`repro.serve.durability`) can
@@ -505,8 +561,7 @@ class ServeEngine:
             raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
         system = self.system
         system.reset()
-        for mod in system.modules:
-            mod.reset_queue()
+        self.purge()
         self._mapping = system.mapping
         self._failed_now = frozenset()
         rec = system.recorder
@@ -528,13 +583,7 @@ class ServeEngine:
         self._max_cycles = max_cycles
         self._drain = drain
         self._drain_limit = drain_limit
-        # each run reports itself (requests still queued from a previous
-        # non-drained run are served, but counted there)
         self.tracker = SLOTracker()
-        self._completions = []
-        self._remaining = {}
-        self._current_batch = None
-        self._batch_dispatched_at = 0
         self._access_index = -1
         self._cycle = 0
         self._active = True
@@ -580,22 +629,8 @@ class ServeEngine:
             if self._current_batch is not None and not any(
                 not req.completed for req in self._current_batch.requests
             ):
-                batch = self._current_batch
-                rounds = (
-                    max(last_done, self._batch_dispatched_at)
-                    - self._batch_dispatched_at
-                )
-                tracker.on_batch_retired(batch, rounds)
-                if rec.enabled:
-                    rec.event(
-                        "batch_retire",
-                        cycle=cycle,
-                        rounds=rounds,
-                        requests=len(batch),
-                        components=batch.num_components,
-                        conflicts=batch.conflicts,
-                    )
-                self._current_batch = None
+                dispatched = self._batch_dispatched_at
+                self._end_batch(cycle, max(last_done, dispatched) - dispatched)
             # 1b. retry-timeout abort: the batch has held the array too long
             if (
                 self._current_batch is not None
@@ -606,21 +641,7 @@ class ServeEngine:
                     for req in self._current_batch.requests
                 )
             ):
-                batch = self._current_batch
-                rounds = cycle - self._batch_dispatched_at
-                tracker.on_batch_aborted(batch, rounds)
-                if rec.enabled:
-                    rec.event(
-                        "batch_retire",
-                        cycle=cycle,
-                        rounds=rounds,
-                        requests=len(batch),
-                        components=batch.num_components,
-                        conflicts=batch.conflicts,
-                        aborted=True,
-                    )
-                self._abort_batch(batch, cycle)
-                self._current_batch = None
+                self._end_batch(cycle, cycle - self._batch_dispatched_at, aborted=True)
         # 2. arrivals + admission
         with self._sp_admit:
             if arriving:
@@ -652,15 +673,7 @@ class ServeEngine:
                             )
                         outcome = self.queue.offer(request, cycle)
                         if outcome == "admitted":
-                            tracker.on_admit(request)
-                            self._journal(
-                                "admit",
-                                cycle,
-                                request=request.request_id,
-                                client=client.client_id,
-                                tenant=request.tenant,
-                                size=request.size,
-                            )
+                            self._admitted(request, cycle)
                         elif outcome == "shed":
                             tracker.on_shed(request)
                             if rec.enabled:
@@ -680,15 +693,7 @@ class ServeEngine:
                             )
                             client.notify_shed(request, cycle)
             for request in self.queue.admit_waiting(cycle):
-                tracker.on_admit(request)
-                self._journal(
-                    "admit",
-                    cycle,
-                    request=request.request_id,
-                    client=request.client_id,
-                    tenant=request.tenant,
-                    size=request.size,
-                )
+                self._admitted(request, cycle)
         # 3. dispatch the next batch once the array is idle; requests in
         # a backoff window are not yet eligible
         with self._sp_dispatch:
@@ -765,7 +770,249 @@ class ServeEngine:
             clients, max_cycles, drain=drain, drain_limit=drain_limit
         )
 
+    # -- knobs -----------------------------------------------------------------
+
+    def set_knobs(self, **knobs) -> dict:
+        """Change any of the :data:`KNOBS` between steps; returns the values
+        set, in :data:`KNOBS` order.
+
+        ``policy`` is a :class:`BatchPolicy` or a registry name (a new name
+        is built with the current policy's packing parameters);
+        ``deadline`` and ``retry_timeout`` are cycles or ``None``.  Every
+        value is checked before any is set, so a bad one changes nothing.
+        """
+        unknown = set(knobs) - set(KNOBS)
+        if unknown:
+            raise ValueError(f"unknown knobs: {sorted(unknown)}")
+        policy = knobs.get("policy", self.policy)
+        if isinstance(policy, str) and policy != self.policy.name:
+            policy = make_policy(
+                policy,
+                max_components=self.policy.max_components,
+                bound_k=self.policy.bound_k,
+            )
+        elif isinstance(policy, str):
+            policy = self.policy
+        deadline = knobs.get("deadline", self.deadline)
+        deadline = None if deadline is None else int(deadline)
+        timeout = knobs.get("retry_timeout", self.retry_timeout)
+        timeout = None if timeout is None else int(timeout)
+        if timeout is not None and timeout < 1:
+            raise ValueError(f"retry_timeout must be >= 1, got {timeout}")
+        self.policy, self.deadline, self.retry_timeout = policy, deadline, timeout
+        values = {"policy": policy.name, "deadline": deadline, "retry_timeout": timeout}
+        return {key: values[key] for key in KNOBS if key in knobs}
+
+    # -- held work -------------------------------------------------------------
+
+    def held(self) -> list[Request]:
+        """Every *unsettled* request the engine holds, deduplicated: the
+        admission queue, then the blocked arrivals, then the in-flight table.
+
+        The in-flight table covers the current batch's still-running
+        members; the batch object itself is deliberately not scanned — it
+        keeps listing requests that already retired mid-batch, and handing
+        those on (a fleet re-routes what a dead shard held) would execute
+        them twice.
+        """
+        held = chain(self.queue.pending, self.queue.waiting, self._requests.values())
+        return list({req.request_id: req for req in held}.values())
+
+    @property
+    def backlog_items(self) -> int:
+        """Items (tree nodes) of every unsettled request the engine holds."""
+        return sum(req.size for req in self.held())
+
+    def purge(self) -> int:
+        """Drop every request the engine holds — queue, blocked arrivals,
+        in-flight table and batch, pending completions, module queues — and
+        return how many unsettled ones there were.
+
+        :meth:`start` purges, so every run starts clean; a fleet purges a
+        restored shard, whose held work was settled or re-routed when it
+        died.
+        """
+        purged = len(self.held())
+        self.queue.pending = []
+        self.queue.waiting = deque()
+        self._requests = {}
+        self._current_batch = None
+        self._batch_dispatched_at = 0
+        self._completions = []
+        self._remaining = {}
+        for mod in self.system.modules:
+            mod.reset_queue()
+        return purged
+
+    def align(self, cycle: int, max_cycles: int, drain: bool, drain_limit: int) -> None:
+        """Resume serving inside an enclosing run at ``cycle`` (a shard
+        rejoining its fleet): the run window becomes the caller's, and
+        module clocks and fault cursors catch up on the next step."""
+        self._cycle = cycle
+        self._max_cycles = max_cycles
+        self._drain = drain
+        self._drain_limit = drain_limit
+        self._active = True
+
+    def reserve_ids(self, used) -> None:
+        """Number later requests past every id in ``used`` (a shard restarted
+        from its journal alone keeps the ids the journal already holds)."""
+        self._next_id = max([self._next_id, *(rid + 1 for rid in used)])
+
     # -- checkpoint / restore ----------------------------------------------------
+
+    def _config(self) -> dict:
+        """The snapshot's ``config`` block: the knobs, then the structure a
+        restoring engine must match (:data:`_STRUCTURE`)."""
+        return {
+            "policy": self.policy.name,
+            "deadline": self.deadline,
+            "retry_timeout": self.retry_timeout,
+            "admission": self.queue.policy,
+            "queue_capacity": self.queue.capacity,
+            "repair": self.repair,
+            "num_modules": self.system.num_modules,
+        }
+
+    def state_dict(self) -> dict:
+        """The full serving state, JSON-serializable, at a cycle boundary
+        (call between :meth:`step` invocations)."""
+        batch = self._current_batch
+        # one shared registry: the same Request object may sit in the
+        # in-flight table, the queue and the current batch at once
+        requests = dict(self._requests)
+        for req in chain(self.held(), batch.requests if batch is not None else ()):
+            requests.setdefault(req.request_id, req)
+        batch_state = None
+        if batch is not None:
+            # the batch's costing is pinned at dispatch time (the effective
+            # mapping may have changed since), so store it rather than
+            # recomputing against the restore-time mapping
+            batch_state = {
+                "ids": [req.request_id for req in batch.requests],
+                "dispatched_at": self._batch_dispatched_at,
+                "module_counts": [int(c) for c in batch.module_counts],
+                "conflicts": batch.conflicts,
+                "num_components": batch.num_components,
+            }
+        recorder = self.system.recorder
+        return {
+            "config": self._config(),
+            "next_id": self._next_id,
+            "failed_now": sorted(self._failed_now),
+            "repair_keys": [sorted(key) for key in self._repair_cache],
+            "requests": {
+                str(rid): request_to_json(req) for rid, req in requests.items()
+            },
+            "inflight": sorted(self._requests),
+            "queue": {
+                "pending": [req.request_id for req in self.queue.pending],
+                "waiting": [req.request_id for req in self.queue.waiting],
+            },
+            "batch": batch_state,
+            "run": {
+                "max_cycles": self._max_cycles,
+                "drain": self._drain,
+                "drain_limit": self._drain_limit,
+                "cycle": self._cycle,
+                "access_index": self._access_index,
+                "active": self._active,
+                "completions": [list(entry) for entry in self._completions],
+                "remaining": {str(rid): n for rid, n in self._remaining.items()},
+            },
+            "tracker": self.tracker.state_dict(),
+            "system": self.system.snapshot_state(),
+            "clients": {
+                str(client.client_id): client.state_dict() for client in self._clients
+            },
+            "recorder": recorder.state_dict() if recorder.enabled else None,
+        }
+
+    def load_state(self, state: dict, clients: list[Client]) -> None:
+        """Resume from a :meth:`state_dict` capture.
+
+        The engine must match the capture's structure (admission, queue
+        capacity, repair mode, module count); its knobs are set to the
+        captured ones (a capture without ``deadline`` / ``retry_timeout``
+        keeps the engine's own).  ``clients`` must be freshly built with
+        the captured run's configuration; their state is overwritten.
+        """
+        from repro.serve.durability import DurabilityError
+
+        config, live = state["config"], self._config()
+        mismatched = {
+            key: (config.get(key), live[key])
+            for key in _STRUCTURE
+            if config.get(key) != live[key]
+        }
+        if mismatched:
+            raise DurabilityError(
+                f"engine configuration does not match the snapshot: {mismatched}"
+            )
+        clients_by_id = {client.client_id: client for client in clients}
+        snap_clients = state["clients"]
+        if set(snap_clients) != {str(cid) for cid in clients_by_id}:
+            raise DurabilityError(
+                f"client ids {sorted(clients_by_id)} do not match the "
+                f"snapshot's {sorted(snap_clients)}"
+            )
+        self.set_knobs(**{key: config[key] for key in KNOBS if key in config})
+        registry = {
+            int(rid): request_from_json(payload)
+            for rid, payload in state["requests"].items()
+        }
+        self._next_id = int(state["next_id"])
+        self._requests = {rid: registry[rid] for rid in state["inflight"]}
+        self.queue.pending = [registry[rid] for rid in state["queue"]["pending"]]
+        self.queue.waiting = deque(registry[rid] for rid in state["queue"]["waiting"])
+        batch_state = state["batch"]
+        if batch_state is None:
+            self._current_batch = None
+            self._batch_dispatched_at = 0
+        else:
+            self._current_batch = self._rebuild_batch(batch_state, registry)
+            self._batch_dispatched_at = int(batch_state["dispatched_at"])
+        run = state["run"]
+        self._max_cycles = int(run["max_cycles"])
+        self._drain = bool(run["drain"])
+        self._drain_limit = int(run["drain_limit"])
+        self._cycle = int(run["cycle"])
+        self._access_index = int(run["access_index"])
+        self._active = bool(run["active"])
+        self._completions = [tuple(entry) for entry in run["completions"]]
+        heapq.heapify(self._completions)
+        self._remaining = {int(rid): int(n) for rid, n in run["remaining"].items()}
+        self.tracker = SLOTracker.from_state(state["tracker"])
+        self.system.restore_state(state["system"])
+        # rebuild the repair cache (deterministic per failed set) in its
+        # captured LRU order, then bind the effective dispatch mapping
+        self._repair_cache.clear()
+        for key in state["repair_keys"]:
+            self._repair_mapping(frozenset(int(m) for m in key))
+        self._failed_now = frozenset(int(m) for m in state["failed_now"])
+        self._mapping = self._repair_mapping(self._failed_now)
+        for client in clients:
+            client.load_state(snap_clients[str(client.client_id)])
+        self._clients = list(clients)
+        self._clients_by_id = clients_by_id
+        recorder = self.system.recorder
+        if state["recorder"] is not None and recorder.enabled:
+            recorder.load_state(state["recorder"])
+
+    @staticmethod
+    def _rebuild_batch(batch_state: dict, registry: dict[int, Request]) -> Batch:
+        reqs = tuple(registry[int(rid)] for rid in batch_state["ids"])
+        parts = _elementary_components(reqs)
+        return Batch(
+            requests=reqs,
+            nodes=np.concatenate([req.nodes for req in reqs]),
+            module_counts=np.array(batch_state["module_counts"], dtype=np.int64),
+            conflicts=int(batch_state["conflicts"]),
+            num_components=int(batch_state["num_components"]),
+            composite=(
+                make_composite(parts) if parts is not None and len(parts) > 1 else None
+            ),
+        )
 
     def checkpoint(self):
         """Capture the full serving state as an

@@ -33,6 +33,10 @@ __all__ = [
     "AdmissionQueue",
     "Request",
     "degrade_instance",
+    "instance_from_json",
+    "instance_to_json",
+    "request_from_json",
+    "request_to_json",
 ]
 
 ADMISSION_POLICIES = ("block", "shed", "degrade")
@@ -235,3 +239,69 @@ class AdmissionQueue:
             f"pending={len(self.pending)}/{self.pending_items} items, "
             f"waiting={len(self.waiting)}, capacity={self.capacity})"
         )
+
+
+# -- instance / request serialization -----------------------------------------
+
+
+def instance_to_json(instance: TemplateInstance) -> dict:
+    if isinstance(instance, CompositeInstance):
+        return {
+            "kind": "composite",
+            "components": [instance_to_json(c) for c in instance.components],
+        }
+    return {
+        "kind": instance.kind,
+        "nodes": [int(n) for n in instance.nodes],
+        "anchor": int(instance.anchor),
+    }
+
+
+def instance_from_json(payload: dict) -> TemplateInstance:
+    if payload["kind"] == "composite":
+        return make_composite(
+            [instance_from_json(c) for c in payload["components"]]
+        )
+    return TemplateInstance(
+        kind=payload["kind"],
+        nodes=np.array(payload["nodes"], dtype=np.int64),
+        anchor=int(payload["anchor"]),
+    )
+
+
+def request_to_json(request: Request) -> dict:
+    return {
+        "id": request.request_id,
+        "client": request.client_id,
+        "tenant": request.tenant,
+        "instance": instance_to_json(request.instance),
+        "arrival": request.arrival_cycle,
+        "deadline": request.deadline,
+        "admit": request.admit_cycle,
+        "dispatch": request.dispatch_cycle,
+        "complete": request.complete_cycle,
+        "degraded": request.degraded,
+        "attempts": request.attempts,
+        "timeouts": request.timeouts,
+        "retry_at": request.retry_at,
+    }
+
+
+def request_from_json(payload: dict) -> Request:
+    return Request(
+        request_id=int(payload["id"]),
+        client_id=int(payload["client"]),
+        # snapshots from before multi-tenancy have no tenant: None makes the
+        # rebuilt request default it from the client id, as the engine would
+        tenant=payload.get("tenant"),
+        instance=instance_from_json(payload["instance"]),
+        arrival_cycle=int(payload["arrival"]),
+        deadline=None if payload["deadline"] is None else int(payload["deadline"]),
+        admit_cycle=int(payload["admit"]),
+        dispatch_cycle=int(payload["dispatch"]),
+        complete_cycle=int(payload["complete"]),
+        degraded=int(payload["degraded"]),
+        attempts=int(payload["attempts"]),
+        timeouts=int(payload["timeouts"]),
+        retry_at=int(payload["retry_at"]),
+    )

@@ -11,7 +11,7 @@ speaks to (components per batch, conflicts per batch, rounds per request).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from repro.memory.stats import latency_summary
 from repro.serve.batching import Batch
@@ -160,6 +160,19 @@ class ServeReport:
         return "\n".join(lines)
 
 
+def _tenant_bucket() -> dict:
+    """One tenant's lifecycle counts and sojourns, empty."""
+    return {"arrivals": 0, "completed": 0, "items": 0, "shed": 0, "sojourns": []}
+
+
+def _fold(mine, theirs):
+    """``theirs`` folded into ``mine``: counts add, distributions extend."""
+    if isinstance(mine, list):
+        mine.extend(theirs)
+        return mine
+    return mine + theirs
+
+
 @dataclass
 class SLOTracker:
     """Counts and distributions accumulated while the engine runs."""
@@ -195,14 +208,7 @@ class SLOTracker:
         label = request.tenant if request.tenant is not None else str(request.client_id)
         bucket = self.tenants.get(label)
         if bucket is None:
-            bucket = {
-                "arrivals": 0,
-                "completed": 0,
-                "items": 0,
-                "shed": 0,
-                "sojourns": [],
-            }
-            self.tenants[label] = bucket
+            bucket = self.tenants[label] = _tenant_bucket()
         return bucket
 
     def on_arrival(self, request: Request) -> None:
@@ -283,36 +289,15 @@ class SLOTracker:
         fleet-wide view; availability folds correctly because the module-cycle
         samples are extensive (sums), not per-shard ratios.
         """
-        self.arrivals += other.arrivals
-        self.admitted += other.admitted
-        self.completed += other.completed
-        self.completed_items += other.completed_items
-        self.shed += other.shed
-        self.degraded += other.degraded
-        self.deadline_misses += other.deadline_misses
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.timeout_shed += other.timeout_shed
-        self.aborted_batches += other.aborted_batches
-        self.failed_module_cycles += other.failed_module_cycles
-        self.observed_module_cycles += other.observed_module_cycles
-        self.sojourns.extend(other.sojourns)
-        self.waits.extend(other.waits)
-        self.recoveries.extend(other.recoveries)
-        self.batch_sizes.extend(other.batch_sizes)
-        self.batch_components.extend(other.batch_components)
-        self.batch_conflicts.extend(other.batch_conflicts)
-        self.batch_rounds.extend(other.batch_rounds)
-        for label, bucket in other.tenants.items():
-            mine = self.tenants.setdefault(
-                label,
-                {"arrivals": 0, "completed": 0, "items": 0, "shed": 0, "sojourns": []},
-            )
-            mine["arrivals"] += bucket["arrivals"]
-            mine["completed"] += bucket["completed"]
-            mine["items"] += bucket["items"]
-            mine["shed"] += bucket["shed"]
-            mine["sojourns"].extend(bucket["sojourns"])
+        for f in fields(self):
+            theirs = getattr(other, f.name)
+            if not isinstance(theirs, dict):
+                setattr(self, f.name, _fold(getattr(self, f.name), theirs))
+                continue
+            for label, bucket in theirs.items():  # the per-tenant buckets
+                mine = self.tenants.setdefault(label, _tenant_bucket())
+                for key, value in bucket.items():
+                    mine[key] = _fold(mine[key], value)
 
     @classmethod
     def merged(cls, trackers) -> "SLOTracker":

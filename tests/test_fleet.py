@@ -220,10 +220,11 @@ def test_fleet_step_false_is_stable(tree):
     coordinator.start(pop.clients, 100)
     while coordinator.step():
         pass
-    before = (coordinator._completed, coordinator._routed, coordinator._cycle)
+    counters = coordinator.counters
+    before = (counters.completed, counters.routed, coordinator._cycle)
     for _ in range(4):
         assert coordinator.step() is False
-    assert (coordinator._completed, coordinator._routed, coordinator._cycle) == before
+    assert (counters.completed, counters.routed, coordinator._cycle) == before
 
 
 def test_quota_sheds_excess_and_books_balance(tree):

@@ -10,13 +10,12 @@ from repro.fleet import (
     HEALTH_STATES,
     FleetCoordinator,
     FleetSupervisor,
-    diff_fleet_reports,
     heavy_tailed_tenants,
 )
 from repro.memory import ParallelMemorySystem
 from repro.memory.faults import FaultSchedule, FaultWindow
 from repro.obs import EventRecorder
-from repro.serve import ServeEngine
+from repro.serve import ServeEngine, diff_reports
 from repro.serve.durability import DurabilityError
 from repro.trees import CompleteBinaryTree
 
@@ -175,7 +174,7 @@ def test_reset_rearms_kills_for_byte_identical_rerun(tree):
     second = coordinator.run(population(tree).clients, 200)
     assert first.dead_shards == [1]
     assert second.dead_shards == [1]
-    assert diff_fleet_reports(first, second) == []
+    assert diff_reports(first, second) == []
 
 
 def test_reset_rearms_kills_after_a_rejoin_popped_them(tree):

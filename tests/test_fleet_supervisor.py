@@ -13,13 +13,12 @@ from repro.fleet import (
     FleetCoordinator,
     FleetSupervisor,
     RoundRobinRouter,
-    diff_fleet_reports,
     heavy_tailed_tenants,
 )
 from repro.memory import ParallelMemorySystem
 from repro.memory.faults import FaultSchedule, per_shard_schedules
 from repro.obs import EventRecorder
-from repro.serve import ServeEngine
+from repro.serve import ServeEngine, diff_reports
 from repro.serve.durability import DurabilityError, SimulatedCrash
 from repro.trees import CompleteBinaryTree
 
@@ -147,7 +146,7 @@ def test_supervised_runs_are_deterministic(tmp_path):
         )
         reports.append(supervisor.serve(population().clients, 300))
     assert reports[0].restarts == 1
-    assert diff_fleet_reports(reports[0], reports[1]) == []
+    assert diff_reports(reports[0], reports[1]) == []
 
 
 def test_restarts_beat_pure_failover(tmp_path):
@@ -334,7 +333,7 @@ def test_whole_fleet_crash_recovery_is_deterministic(tmp_path):
     recovered = build("crashed").recover(population().clients)
 
     assert recovered.restarts == control.restarts == 1
-    assert diff_fleet_reports(control, recovered) == []
+    assert diff_reports(control, recovered) == []
 
 
 def test_recover_falls_back_past_a_torn_fleet_snapshot(tmp_path):
@@ -364,7 +363,7 @@ def test_recover_falls_back_past_a_torn_fleet_snapshot(tmp_path):
 
     control_coord, _ = make_fleet(2, faults=False)
     control = FleetSupervisor(control_coord).serve(population().clients, 200)
-    assert diff_fleet_reports(control, report) == []
+    assert diff_reports(control, report) == []
 
 
 def test_dropped_supervisor_is_freed_by_refcount(tmp_path):

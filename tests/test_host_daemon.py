@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from repro.cli import _build_engine
+from repro.cli import _build_engine, main
 from repro.host.daemon import QueueSink, ServeDaemon, SubmitFeed
-from repro.serve import DurableServer
-from repro.serve.durability import instance_to_json
+from repro.serve import CrashPlan, DurableServer, diff_reports
+from repro.serve.durability import SimulatedCrash
+from repro.serve.request import instance_to_json
 from repro.trees import CompleteBinaryTree
 
 
@@ -273,3 +274,100 @@ def test_daemon_natural_completion_exits_without_shutdown(tmp_path):
     assert report is not None
     assert daemon.server.engine.cycle >= 40  # horizon + drain
     assert daemon.server.engine.active is False
+
+
+def test_daemon_that_can_never_drain_advises_no_resume(tmp_path, capsys):
+    """A pump that dies on a DrainError writes no shutdown checkpoint and
+    advises no resume (a recovery would only fail the same way); the error
+    reaches the CLI's one-line handler."""
+    with pytest.raises(SystemExit, match="can never drain"):
+        main([
+            "daemon", "--state-dir", str(tmp_path), "--cycles", "300",
+            "--traffic", "bursty", "--faults", "slow=3:2,failed=5",
+            "--tick-interval", "0",
+        ])
+    assert "resume with" not in capsys.readouterr().out
+
+
+# -- crash consistency of the control plane ------------------------------------
+# driver hooks stand in for control-plane requests at chosen cycles; the
+# daemon is built (for its handlers) but not run
+
+
+def _durable(state_dir, crash_plan=None, at=None, action=None):
+    state_dir.mkdir()
+    config = _config(state_dir, obs=None, cycles=300)
+    engine, clients, _ = _build_engine(config)
+    config_path = state_dir / "config.json"
+    config_path.write_text(json.dumps(config, indent=2) + "\n")
+    server = DurableServer(
+        engine, clients, state_dir, checkpoint_every=50, crash_plan=crash_plan
+    )
+    daemon = ServeDaemon(server, clients[-1], config=config, config_path=config_path)
+    if action is not None:
+
+        def hook(engine):
+            if engine.cycle == at:
+                action(daemon)
+
+        server.driver.after_step.append(hook)
+    return daemon
+
+
+def _recover(state_dir):
+    """What ``pmtree recover`` does: rebuild from config.json, recover."""
+    config = json.loads((state_dir / "config.json").read_text())
+    engine, clients, _ = _build_engine(config)
+    server = DurableServer(engine, clients, state_dir, checkpoint_every=50)
+    return server.recover()
+
+
+def _crash_then_recover(state_dir, crash_plan=None, at=None, action=None):
+    daemon = _durable(state_dir, crash_plan, at, action)
+    with pytest.raises(SimulatedCrash):
+        daemon.server.serve(300)
+    return _recover(state_dir)
+
+
+def _submit(daemon):
+    daemon._submit({"kind": "subtree", "size": 7, "count": 3})
+
+
+def test_submission_survives_a_crash(tmp_path):
+    control = _durable(tmp_path / "control", at=120, action=_submit)
+    expected = control.server.serve(300)
+    assert control.feed.submitted == 3
+    report = _crash_then_recover(tmp_path / "crashed", CrashPlan(130), 120, _submit)
+    assert diff_reports(expected, report) == []
+
+
+KNOBS = {"policy": "fifo", "deadline": 30, "retry_timeout": 25}
+
+
+def _change_knobs(daemon):
+    daemon._apply_knobs(dict(KNOBS))
+
+
+def test_knob_change_killed_before_its_checkpoint_is_lost(tmp_path):
+    def change_then_die(daemon):
+        def killed():
+            raise SimulatedCrash("killed between the rewrite and the checkpoint")
+
+        daemon.server.checkpoint = killed
+        _change_knobs(daemon)
+
+    expected = _durable(tmp_path / "control").server.serve(300)
+    state_dir = tmp_path / "crashed"
+    report = _crash_then_recover(state_dir, None, 120, change_then_die)
+    assert json.loads((state_dir / "config.json").read_text())["policy"] == "fifo"
+    assert diff_reports(expected, report) == []
+
+
+def test_knob_change_survives_a_kill_after_its_checkpoint(tmp_path):
+    control = _durable(tmp_path / "control", at=120, action=_change_knobs)
+    expected = control.server.serve(300)
+    assert control.server.engine.policy.name == "fifo"
+    report = _crash_then_recover(
+        tmp_path / "crashed", CrashPlan(130), 120, _change_knobs
+    )
+    assert diff_reports(expected, report) == []

@@ -126,6 +126,35 @@ class TestSnapshotRoundTrip:
         with pytest.raises(DurabilityError, match="configuration"):
             other.restore(snapshot, other_clients)
 
+    def test_restore_applies_the_snapshot_knobs(self):
+        factory = make_factory()
+        engine, clients = factory()
+        engine.start(clients, 400)
+        for _ in range(50):
+            engine.step()
+        assert engine.set_knobs(policy="fifo", deadline=30) == {
+            "policy": "fifo",
+            "deadline": 30,
+        }
+        snapshot = engine.checkpoint()
+        engine2, clients2 = factory()  # built greedy-pack, no deadline
+        engine2.restore(snapshot, clients2)
+        assert (engine2.policy.name, engine2.deadline) == ("fifo", 30)
+        # a snapshot written before the knobs were captured keeps the
+        # engine's own deadline and retry timeout
+        config = snapshot.state["config"]
+        del config["deadline"], config["retry_timeout"]
+        engine3, clients3 = make_factory(deadline=50, retry_timeout=12)()
+        engine3.restore(snapshot, clients3)
+        assert (engine3.deadline, engine3.retry_timeout) == (50, 12)
+
+    def test_bad_knobs_change_nothing(self):
+        engine, _ = make_factory()()
+        for knobs in ({"retry_timeout": 0}, {"policy": "nope"}, {"window": 3}):
+            with pytest.raises(ValueError):
+                engine.set_knobs(deadline=30, **knobs)
+        assert (engine.policy.name, engine.deadline) == ("greedy-pack", None)
+
     def test_restore_rejects_mismatched_clients(self):
         factory = make_factory()
         engine, clients = factory()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import spec
 from repro.bench.workloads import heap_workload
 from repro.cli import main
 from repro.core import ColorMapping, LabelTreeMapping
@@ -81,6 +82,19 @@ class TestEngineBasics:
         clients = [PoissonClient(0, mix, 0.4, seed=1)]
         report = engine.run(clients, max_cycles=200, drain=False)
         assert report.cycles == 200
+
+    def test_each_run_starts_clean(self):
+        """An undrained run hands nothing on: the next run serves and counts
+        only its own arrivals and, once drained, holds no request."""
+        engine, clients, _ = spec.serve(dict(cycles=200, arrival_rate=2.0, seed=3))
+        engine.run(clients, max_cycles=200, drain=False)
+        assert engine.held()  # the undrained run left work behind
+        _, clients, _ = spec.serve(dict(cycles=200, arrival_rate=2.0, seed=4))
+        report = engine.run(clients, max_cycles=200)
+        assert report.completed <= report.arrivals
+        assert report.completed + report.shed == report.arrivals
+        assert engine.held() == []
+        assert engine.checkpoint().state["inflight"] == []
 
     def test_rejects_duplicate_client_ids(self, mapping, mix):
         system = ParallelMemorySystem(mapping)

@@ -12,7 +12,6 @@ import pytest
 from repro import spec
 from repro.bench.perf import SCENARIOS
 from repro.cli import _build_parser
-from repro.fleet import diff_fleet_reports
 from repro.serve import diff_reports
 
 #: flags that steer one invocation (where state lives, the crash harness,
@@ -97,7 +96,7 @@ def test_fleet_scenario_builds_the_cli_run():
     for config in (scenario, spelled):
         coordinator, population, _, _ = spec.fleet(config)
         reports.append(coordinator.run(population.clients, config["cycles"]))
-    assert diff_fleet_reports(*reports) == []
+    assert diff_reports(*reports) == []
 
 
 def test_resolve_drops_unknown_keys_and_keeps_explicit_none():

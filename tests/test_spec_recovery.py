@@ -12,8 +12,12 @@ each one:
 * every arrival is accounted for once: ``completed + shed == arrivals`` for
   a serve run, ``completed + quota_shed + shard_shed + fleet_shed ==
   arrivals`` for a fleet.
+
+A third test runs daemon configs with a submit burst and a knob change at
+drawn cycles, as ``POST /submit`` and ``POST /policy`` would make them.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -22,7 +26,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import spec
-from repro.fleet import FleetSupervisor, diff_fleet_reports
+from repro.fleet import FleetSupervisor
+from repro.host.daemon import ServeDaemon
 from repro.serve import CrashPlan, DurableServer, diff_reports
 from repro.serve.durability import CRASH_MODES, SimulatedCrash
 
@@ -177,6 +182,74 @@ def test_fleet_crash_recovery_equals_uninterrupted(config, data):
         except SimulatedCrash:
             supervisor, clients = _supervised(config, crashed)
             recovered = supervisor.recover(clients)
-    assert diff_fleet_reports(uninterrupted, recovered) == []
+    assert diff_reports(uninterrupted, recovered) == []
     shed = recovered.quota_shed + recovered.shard_shed + recovered.fleet_shed
     assert recovered.completed + shed == recovered.arrivals
+
+
+knob_changes = st.fixed_dictionaries(
+    {},
+    optional={
+        "policy": st.sampled_from(["fifo", "greedy-pack", "load-aware"]),
+        "deadline": st.sampled_from([None, 10, 40]),
+        "retry_timeout": st.sampled_from([None, 5, 30]),
+    },
+).filter(bool)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(config=serve_specs(), data=st.data())
+def test_daemon_crash_recovery_with_submits_and_knob_changes(config, data):
+    config = dict(spec.resolve(config, spec.SERVE), daemon=True)
+    cycles = config["cycles"]
+    submit_at, knobs_at = data.draw(st.tuples(*[st.integers(1, cycles - 1)] * 2))
+    kind, size = data.draw(st.sampled_from([("subtree", 7), ("path", 5), ("level", 4)]))
+    count = data.draw(st.integers(1, 4))
+    knobs = data.draw(knob_changes)
+    first = data.draw(crash_plans(st.integers(1, cycles - 1)))
+    second = data.draw(st.none() | crash_plans(st.integers(1, first.at_cycle + 20)))
+
+    def daemon(state_dir: Path, crash_plan=None) -> ServeDaemon:
+        """A daemon over ``state_dir``'s config.json, its control-plane
+        requests made from a driver hook (the daemon itself never runs)."""
+        config_path = state_dir / "config.json"
+        daemon_config = json.loads(config_path.read_text())
+        engine, clients, _ = spec.serve(daemon_config)
+        server = DurableServer(
+            engine,
+            clients,
+            state_dir,
+            checkpoint_every=daemon_config["checkpoint_every"],
+            crash_plan=crash_plan,
+        )
+        daemon = ServeDaemon(
+            server, clients[-1], config=daemon_config, config_path=config_path
+        )
+
+        def control_plane(engine) -> None:
+            # submit first: a knob change checkpoints, and that snapshot
+            # must hold a submission made at the same cycle
+            if engine.cycle == submit_at:
+                daemon.feed.submit(kind, size, count=count)
+            if engine.cycle == knobs_at:
+                daemon._apply_knobs(dict(knobs))
+
+        server.driver.after_step.append(control_plane)
+        return daemon
+
+    with tempfile.TemporaryDirectory() as tmp:
+        control, crashed = Path(tmp) / "control", Path(tmp) / "crashed"
+        for state_dir in (control, crashed):
+            state_dir.mkdir()
+            (state_dir / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+        uninterrupted = daemon(control).server.serve(cycles)
+        with pytest.raises(SimulatedCrash):
+            daemon(crashed, first).server.serve(cycles)
+        # each recovery reads config.json as the crash left it, as
+        # pmtree recover does
+        try:
+            report = daemon(crashed, second).server.recover()
+        except SimulatedCrash:
+            report = daemon(crashed).server.recover()
+    assert diff_reports(uninterrupted, report) == []
+    assert report.completed + report.shed == report.arrivals
